@@ -40,6 +40,10 @@ class DatasetTruncatedError(DatasetFileError):
     """File is shorter than its header claims (or not a dataset file at all)."""
 
 
+class DatasetFieldError(DatasetFileError):
+    """A label or scenario byte names no known value."""
+
+
 _SCENARIO_BY_ID = {s.system_id: s for s in SCENARIOS.values()}
 
 
@@ -90,15 +94,23 @@ def read_dataset(path) -> Dataset:
     (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
     if zlib.crc32(blob[:-4]) != stored_crc:
         raise DatasetChecksumError(f"{path}: checksum mismatch")
+    if scenario_id not in _SCENARIO_BY_ID:
+        raise DatasetFieldError(f"{path}: unknown scenario id {scenario_id}")
 
     windows = []
     offset = _HEADER.size
-    for _ in range(count):
+    for k in range(count):
         label, w_scenario_id, gen_seed = _RECORD_HEAD.unpack_from(blob, offset)
         offset += _RECORD_HEAD.size
+        try:
+            label, w_scenario_id = Label(label), SystemId(w_scenario_id)
+        except ValueError as exc:
+            raise DatasetFieldError(
+                f"{path}: window {k}: label {label} or scenario id {w_scenario_id} unknown"
+            ) from exc
         samples = np.frombuffer(blob, dtype="<f8", count=window_length, offset=offset).copy()
         offset += 8 * window_length
-        windows.append(Window(samples, Label(label), SystemId(w_scenario_id), gen_seed))
+        windows.append(Window(samples, label, w_scenario_id, gen_seed))
 
-    scenario = _SCENARIO_BY_ID[SystemId(scenario_id)]
+    scenario = _SCENARIO_BY_ID[scenario_id]
     return Dataset(windows, master_seed, scenario, gen_version)

@@ -1,12 +1,14 @@
 """From-scratch 1D layer kernels: forward and backward passes.
 
 Two surfaces live here.  The single-sample functions (conv_forward,
-maxpool_forward, ...) operate on (channels, length) arrays and accumulate in
-a fixed order (innermost kernel index fastest) so they are bit-equal to a
-naive nested-loop evaluation.  The *_batch functions operate on
-(batch, channels, length) arrays via im2col-style matmuls and are what the
-training loop uses; they agree with the per-sample path to floating-point
-roundoff, not bitwise.
+maxpool_forward, ...) operate on (channels, length) arrays; conv_forward
+accumulates in a fixed order (innermost kernel index fastest) so it is
+bit-equal to a naive nested-loop evaluation.  The *_batch functions operate
+on (batch, channels, length) arrays and are what the training loop uses.
+Batched conv goes through im2col-style matmuls, so it agrees with the
+per-sample path only to floating-point roundoff.  Max pooling has a single
+kernel, maxpool_forward_batch/maxpool_backward_batch; the single-sample pool
+functions wrap it, so both paths give the same bytes.
 """
 
 from __future__ import annotations
@@ -137,26 +139,18 @@ def maxpool_forward(x: np.ndarray, width: int, stride: int) -> tuple[np.ndarray,
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError("expected a (channels, length) input")
-    if width < 1 or stride < 1:
-        raise ShapeError("width and stride must be positive")
-    if width > x.shape[1]:
-        raise ShapeError("pool width exceeds input length")
-    windows = sliding_window_view(x, width, axis=1)[:, ::stride, :]
-    local = windows.argmax(axis=2)  # first occurrence on ties
-    out = np.take_along_axis(windows, local[:, :, None], axis=2)[:, :, 0]
-    argmax = local + np.arange(local.shape[1])[None, :] * stride
-    return out, PoolRecord(width, stride, argmax, x.shape[1])
+    out, offset = maxpool_forward_batch(x[None], width, stride)
+    argmax = offset[0] + np.arange(out.shape[2]) * stride
+    return out[0], PoolRecord(width, stride, argmax, x.shape[1])
 
 
 def maxpool_backward(grad_out: np.ndarray, record: PoolRecord) -> np.ndarray:
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if grad_out.shape != record.argmax.shape:
         raise ShapeError("gradient shape does not match pool record")
-    channels = record.argmax.shape[0]
-    d_x = np.zeros((channels, record.input_length))
-    rows = np.repeat(np.arange(channels), record.argmax.shape[1])
-    np.add.at(d_x, (rows, record.argmax.ravel()), grad_out.ravel())
-    return d_x
+    offset = record.argmax - np.arange(record.argmax.shape[1]) * record.stride
+    return maxpool_backward_batch(grad_out[None], offset[None], record.input_length,
+                                  record.width, record.stride)[0]
 
 
 def dense_forward(x: np.ndarray, layer: DenseLayer) -> np.ndarray:
@@ -231,12 +225,16 @@ def conv_forward_batch(x: np.ndarray, layer: ConvLayer) -> tuple[np.ndarray, np.
 
 
 def conv_backward_batch(
-    grad_out: np.ndarray, cols: np.ndarray, layer: ConvLayer, input_shape: tuple
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    grad_out: np.ndarray, cols: np.ndarray, layer: ConvLayer, input_shape: tuple,
+    input_grad: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(d_weights, d_bias, d_input); d_input is None when input_grad is False."""
     b, _, out_len = grad_out.shape
     g_mat = np.ascontiguousarray(grad_out.transpose(0, 2, 1)).reshape(b * out_len, -1)
     d_w = (g_mat.T @ cols).reshape(layer.weights.shape)
     d_b = g_mat.sum(axis=0)
+    if not input_grad:
+        return d_w, d_b, None
     d_cols = (g_mat @ layer.weights.reshape(layer.out_channels, -1)).reshape(
         b, out_len, layer.in_channels, layer.kernel_size
     )
@@ -249,22 +247,59 @@ def conv_backward_batch(
 def maxpool_forward_batch(
     x: np.ndarray, width: int, stride: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched max pool on (B, C, L); returns (output, argmax into length axis)."""
+    """Batched max pool on (B, C, L); returns (output, winning offset in each window).
+
+    Window t covers x[..., t*stride : t*stride + width]; its offset is the
+    position of its maximum within it, the first one on ties, as argmax
+    picks it.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if width < 1 or stride < 1:
+        raise ShapeError("width and stride must be positive")
     if width > x.shape[2]:
         raise ShapeError("pool width exceeds input length")
-    windows = sliding_window_view(x, width, axis=2)[:, :, ::stride, :]
-    local = windows.argmax(axis=3)
-    out = np.take_along_axis(windows, local[:, :, :, None], axis=3)[:, :, :, 0]
-    argmax = local + np.arange(local.shape[2])[None, None, :] * stride
-    return out, argmax
+    span = (pool_output_length(x.shape[2], width, stride) - 1) * stride + 1
+    out = x[..., 0:span:stride].copy()
+    out_bits = out.view(np.int64)
+    offset = np.zeros(out.shape, dtype=np.min_scalar_type(width - 1))
+    for i in range(1, width):
+        cand = x[..., i : i + span : stride]
+        # argmax's rule: a larger value wins, ties keep the earlier offset,
+        # and the first NaN wins over numbers and is never displaced
+        better = cand <= out
+        np.logical_not(better, out=better)
+        better &= out == out
+        # out = np.where(better, cand, out) on the bits: the same bytes, but
+        # no branch per element to mispredict on a random mask
+        flip = cand.view(np.int64) ^ out_bits
+        flip &= np.negative(better, dtype=np.int64)
+        out_bits ^= flip
+        # i exceeds every offset recorded so far
+        np.maximum(offset, better * offset.dtype.type(i), out=offset)
+    return out, offset
 
 
-def maxpool_backward_batch(grad_out: np.ndarray, argmax: np.ndarray, input_length: int) -> np.ndarray:
+def maxpool_backward_batch(
+    grad_out: np.ndarray, offset: np.ndarray, input_length: int, width: int, stride: int
+) -> np.ndarray:
+    """Route each window's gradient to its winning input position.
+
+    Positions shared by overlapping windows receive the windows' gradients
+    summed in window order, the order np.add.at would use, so the result has
+    the same bytes (-0.0 gradients included, which the +0.0 start absorbs).
+    """
+    grad_out = np.asarray(grad_out, dtype=np.float64)
     b, c, out_len = grad_out.shape
-    d_x = np.zeros((b * c, input_length))
-    rows = np.repeat(np.arange(b * c), out_len)
-    np.add.at(d_x, (rows, argmax.ravel()), grad_out.ravel())
-    return d_x.reshape(b, c, input_length)
+    span = (out_len - 1) * stride + 1
+    grad_bits = grad_out.view(np.int64)
+    d_x = np.zeros((b, c, input_length))
+    # a later window reaches a given position through a smaller offset
+    for i in range(width - 1, -1, -1):
+        # the gradient where offset == i, +0.0 elsewhere, selected on the bits
+        routed = np.negative(offset == i, dtype=np.int64)
+        routed &= grad_bits
+        d_x[..., i : i + span : stride] += routed.view(np.float64)
+    return d_x
 
 
 def dense_forward_batch(x: np.ndarray, layer: DenseLayer) -> np.ndarray:

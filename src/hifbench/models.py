@@ -8,7 +8,7 @@ import hashlib
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -191,9 +191,9 @@ class Model:
                 offset += arr.size
 
     def copy(self) -> "Model":
-        clone = build_model(self.spec, self.init_seed)
-        clone.set_flat_parameters(self.flat_parameters())
-        return clone
+        layer_list = [replace(l, weights=l.weights.copy(), bias=l.bias.copy())
+                      for l in self.layer_list]
+        return Model(self.spec, layer_list, self.init_seed)
 
 
 def build_model(spec, init_seed: int) -> Model:
@@ -242,8 +242,8 @@ def forward_batch(model: Model, x: np.ndarray, want_cache: bool = False):
             cache["inputs"].append((h.shape, cols))
             cache["pre_relu"].append(out)
             act = L.relu_forward(out)
-            h, argmax = L.maxpool_forward_batch(act, blk.pool_width, blk.pool_stride)
-            cache["pools"].append((argmax, act.shape[2]))
+            h, offset = L.maxpool_forward_batch(act, blk.pool_width, blk.pool_stride)
+            cache["pools"].append((offset, act.shape[2]))
         flat = h.reshape(h.shape[0], -1)
         dense_in = flat
         hidden_pre = L.dense_forward_batch(dense_in, model.layer_list[-2])
@@ -275,41 +275,51 @@ def forward(model: Model, window: np.ndarray) -> float:
     return float(forward_batch(model, np.asarray(window)[None, :])[0])
 
 
-def backward_batch(model: Model, cache: dict, probs: np.ndarray, y: np.ndarray) -> list:
-    """Mean-BCE gradients for every layer, aligned with model.layer_list."""
+def backward_batch(
+    model: Model, cache: dict, probs: np.ndarray, y: np.ndarray, first_layer: int = 0
+) -> list:
+    """Mean-BCE gradients, aligned with model.layer_list.
+
+    Backpropagation stops at layer first_layer: the layers below it get None,
+    and a conv layer there skips its input gradient, which nothing reads.
+    """
     d_logit = L.sigmoid_bce_backward(probs, y)  # (B,)
     grads: list = [None] * len(model.layer_list)
     if model.is_cnn:
+        n_blocks = len(model.spec.blocks)
         flat, pooled_shape, hidden_pre, hidden = cache["head"]
         d_w2, d_b2, d_hidden = L.dense_backward_batch(d_logit[:, None], hidden, model.layer_list[-1])
         grads[-1] = (d_w2, d_b2)
+        if first_layer > n_blocks:
+            return grads
         d_hidden_pre = L.relu_backward(d_hidden, hidden_pre)
         d_w1, d_b1, d_flat = L.dense_backward_batch(d_hidden_pre, flat, model.layer_list[-2])
         grads[-2] = (d_w1, d_b1)
         d_h = d_flat.reshape(pooled_shape)
-        n_blocks = len(model.spec.blocks)
-        for bi in range(n_blocks - 1, -1, -1):
-            argmax, act_len = cache["pools"][bi]
-            d_act = L.maxpool_backward_batch(d_h, argmax, act_len)
+        for bi in range(n_blocks - 1, first_layer - 1, -1):
+            blk = model.spec.blocks[bi]
+            offset, act_len = cache["pools"][bi]
+            d_act = L.maxpool_backward_batch(d_h, offset, act_len, blk.pool_width, blk.pool_stride)
             d_pre = L.relu_backward(d_act, cache["pre_relu"][bi])
             in_shape, cols = cache["inputs"][bi]
-            d_w, d_b, d_h = L.conv_backward_batch(d_pre, cols, model.layer_list[bi], in_shape)
+            d_w, d_b, d_h = L.conv_backward_batch(d_pre, cols, model.layer_list[bi], in_shape,
+                                                  input_grad=bi > first_layer)
             grads[bi] = (d_w, d_b)
     else:
         pre_acts, acts = cache["head"]
         d_pre = d_logit[:, None]
-        for i in range(len(model.layer_list) - 1, -1, -1):
+        for i in range(len(model.layer_list) - 1, first_layer - 1, -1):
             d_w, d_b, d_x = L.dense_backward_batch(d_pre, acts[i], model.layer_list[i])
             grads[i] = (d_w, d_b)
-            if i > 0:
+            if i > first_layer:
                 d_pre = L.relu_backward(d_x, pre_acts[i - 1])
     return grads
 
 
-def batch_loss_and_grads(model: Model, x: np.ndarray, y: np.ndarray):
+def batch_loss_and_grads(model: Model, x: np.ndarray, y: np.ndarray, first_layer: int = 0):
     probs, cache = forward_batch(model, x, want_cache=True)
     loss = L.bce_loss(probs, y)
-    grads = backward_batch(model, cache, probs, y)
+    grads = backward_batch(model, cache, probs, y, first_layer)
     return loss, grads, probs
 
 
@@ -370,9 +380,18 @@ def load_checkpoint(path) -> Checkpoint:
     (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
     if zlib.crc32(blob[:-4]) != stored_crc:
         raise CheckpointCorruptError(f"{path}: checksum mismatch")
-    metadata = json.loads(blob[offset : offset + meta_len].decode())
+    try:
+        metadata = json.loads(blob[offset : offset + meta_len].decode())
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nesting too deep
+        raise CheckpointCorruptError(f"{path}: metadata is not valid JSON") from exc
+    if not isinstance(metadata, dict) or not isinstance(metadata.get("spec"), dict):
+        raise CheckpointCorruptError(f"{path}: metadata carries no spec")
     ckpt = Checkpoint(version, fp, params, metadata)
-    if fingerprint(ckpt.spec) != fp:
+    try:
+        spec = ckpt.spec
+    except (ValueError, TypeError, KeyError, ArithmeticError) as exc:
+        raise CheckpointCorruptError(f"{path}: malformed spec in metadata: {exc}") from exc
+    if fingerprint(spec) != fp:
         raise FingerprintMismatchError(f"{path}: metadata spec does not match fingerprint")
     return ckpt
 

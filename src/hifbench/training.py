@@ -153,7 +153,8 @@ def train(model: Model, dataset: Dataset, config: TrainConfig) -> TrainingRun:
         for bi, lo in enumerate(range(0, n, config.batch_size)):
             sel = order[lo : lo + config.batch_size]
             try:
-                loss, grads, _ = batch_loss_and_grads(work, x_train[sel], y_train[sel])
+                loss, grads, _ = batch_loss_and_grads(work, x_train[sel], y_train[sel],
+                                                      update_idx[0])
             except FloatingPointError as exc:
                 raise DivergenceError(epoch, bi) from exc
             if not np.isfinite(loss):

@@ -85,6 +85,21 @@ class TestTrainEvalPipeline:
         assert run_cli("train", "--data", bad, "--model", "mlp",
                        "--out", tmp_path / "m.ckpt", "--epochs", 1) == cli.EXIT_DATA
 
+    def test_unknown_label_byte_is_data_error(self, dataset_file, tmp_path, capsys):
+        import struct
+        import zlib
+
+        from hifbench.datafile import _HEADER
+
+        bad = tmp_path / "bad.dataset"
+        blob = bytearray(dataset_file.read_bytes())
+        blob[_HEADER.size] = 7  # first window's label byte, then a valid CRC
+        body = bytes(blob[:-4])
+        bad.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        assert run_cli("train", "--data", bad, "--model", "mlp",
+                       "--out", tmp_path / "m.ckpt", "--epochs", 1) == cli.EXIT_DATA
+        assert "label 7" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, dataset_file, tmp_path):
         code = run_cli("train", "--data", dataset_file, "--model", "mlp",
@@ -115,6 +130,17 @@ class TestFinetune:
         assert run_cli("finetune", "--ckpt", bad, "--data", dataset_file,
                        "--out", tmp_path / "x.ckpt",
                        "--epochs", 1) == cli.EXIT_DATA
+
+    def test_malformed_checkpoint_metadata_is_data_error(self, dataset_file, tmp_path):
+        from test_models import rewrite_metadata
+
+        src = tmp_path / "src.ckpt"
+        save_checkpoint(build_model(TINY_MLP, 0), {}, src)
+        for meta in (b"{not json", b'{"init_seed": 0}'):
+            rewrite_metadata(src, meta)
+            assert run_cli("finetune", "--ckpt", src, "--data", dataset_file,
+                           "--out", tmp_path / "x.ckpt", "--epochs", 1) == cli.EXIT_DATA
+            assert run_cli("eval", "--ckpt", src, "--data", dataset_file) == cli.EXIT_DATA
 
     def test_tampered_fingerprint_is_fingerprint_error(self, dataset_file, tmp_path):
         import struct

@@ -1,4 +1,5 @@
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from hifbench.datafile import (
     FORMAT_VERSION,
     MAGIC,
+    _HEADER,
     DatasetChecksumError,
+    DatasetFieldError,
     DatasetFileError,
     DatasetTruncatedError,
     DatasetVersionError,
@@ -94,3 +97,23 @@ def test_mixed_window_lengths_rejected(tmp_path):
     d = Dataset([w1, w2], master_seed=0, scenario=sc)
     with pytest.raises(DatasetFileError):
         write_dataset(d, tmp_path / "bad.dataset")
+
+
+def recrc(blob: bytearray) -> bytes:
+    body = bytes(blob[:-4])
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+@pytest.mark.parametrize("offset,value", [
+    (_HEADER.size, 7),  # first window's label byte
+    (_HEADER.size + 1, 9),  # first window's scenario byte
+    (_HEADER.size - 9, 200),  # the header's scenario byte
+])
+def test_unknown_label_or_scenario_byte_rejected(small_dataset, tmp_path, offset, value):
+    path = tmp_path / "d.dataset"
+    write_dataset(small_dataset, path)
+    blob = bytearray(path.read_bytes())
+    blob[offset] = value
+    path.write_bytes(recrc(blob))
+    with pytest.raises(DatasetFieldError):
+        read_dataset(path)

@@ -35,6 +35,16 @@ def naive_maxpool(x, width, stride):
     return out, arg
 
 
+def add_at_maxpool_backward(grad_out, argmax, input_length):
+    """Reference pool backward: scatter-add each window's gradient to its
+    argmax with np.add.at, window by window."""
+    b, c, out_len = grad_out.shape
+    d_x = np.zeros((b * c, input_length))
+    rows = np.repeat(np.arange(b * c), out_len)
+    np.add.at(d_x, (rows, argmax.ravel()), grad_out.ravel())
+    return d_x.reshape(b, c, input_length)
+
+
 def random_conv_case(rng):
     in_ch = int(rng.integers(1, 4))
     out_ch = int(rng.integers(1, 5))
@@ -210,7 +220,8 @@ class TestBatchedKernels:
         for _ in range(20):
             x, width, stride = random_pool_case(rng)
             batch = np.stack([x, -x])
-            out, argmax = L.maxpool_forward_batch(batch, width, stride)
+            out, offset = L.maxpool_forward_batch(batch, width, stride)
+            argmax = offset + np.arange(out.shape[2]) * stride
             for b in range(2):
                 ref, record = L.maxpool_forward(batch[b], width, stride)
                 assert np.array_equal(out[b], ref)
@@ -240,8 +251,36 @@ class TestBatchedKernels:
         rng = np.random.default_rng(25)
         x, width, stride = random_pool_case(rng)
         batch = x[None, :, :]
-        out, argmax = L.maxpool_forward_batch(batch, width, stride)
+        out, offset = L.maxpool_forward_batch(batch, width, stride)
         g = rng.normal(size=out.shape)
-        d_x = L.maxpool_backward_batch(g, argmax, x.shape[1])
+        d_x = L.maxpool_backward_batch(g, offset, x.shape[1], width, stride)
         _, record = L.maxpool_forward(x, width, stride)
         assert np.array_equal(d_x[0], L.maxpool_backward(g[0], record))
+
+    def test_pool_kernel_bytes_match_loop_and_add_at(self):
+        """Forward against the naive loop, backward against np.add.at, by
+        bytes: array_equal would not tell -0.0 from +0.0."""
+        rng = np.random.default_rng(26)
+        for width in range(1, 6):
+            for stride in range(1, 4):  # windows overlap where stride < width
+                for trial in range(12):
+                    b, c = (int(n) for n in rng.integers(1, 4, size=2))
+                    length = int(rng.integers(width, width + 12))
+                    # quantized values tie often; signed zeros tie with each other
+                    x = np.round(rng.normal(size=(b, c, length)) * 2) / 2
+                    x[rng.random(x.shape) < 0.2] = 0.0
+                    x[rng.random(x.shape) < 0.2] = -0.0
+                    if trial % 4 == 0:
+                        x[rng.random(x.shape) < 0.15] = np.nan
+                    out, offset = L.maxpool_forward_batch(x, width, stride)
+                    argmax = offset + np.arange(out.shape[2]) * stride
+                    for i in range(b):
+                        ref, ref_arg = naive_maxpool(x[i], width, stride)
+                        assert out[i].tobytes() == ref.tobytes()
+                        assert np.array_equal(argmax[i], ref_arg)
+                    # unrounded, so that sums over overlapping windows depend
+                    # on their order
+                    g = rng.normal(size=out.shape)
+                    g[rng.random(g.shape) < 0.3] = -0.0
+                    d_x = L.maxpool_backward_batch(g, offset, length, width, stride)
+                    assert d_x.tobytes() == add_at_maxpool_backward(g, argmax, length).tobytes()

@@ -15,6 +15,7 @@ from hifbench.models import (
     FingerprintMismatchError,
     MlpSpec,
     SpecError,
+    backward_batch,
     build_model,
     fingerprint,
     forward,
@@ -127,6 +128,41 @@ class TestBuildAndForward:
         with pytest.raises(CheckpointCorruptError):
             clone.set_flat_parameters(flat[:-1])
 
+    def test_copy_is_exact_and_independent(self):
+        model = build_model(TINY_CNN, 5)
+        clone = model.copy()
+        assert clone.init_seed == 5 and clone.spec == model.spec
+        assert clone.flat_parameters().tobytes() == model.flat_parameters().tobytes()
+        clone.layer_list[0].weights += 1.0
+        clone.layer_list[-1].bias += 1.0
+        assert model.flat_parameters().tobytes() == build_model(TINY_CNN, 5).flat_parameters().tobytes()
+
+
+class TestBackwardStart:
+    def test_partial_backward_matches_full(self):
+        rng = np.random.default_rng(3)
+        for spec in (TINY_CNN, TINY_MLP):
+            model = build_model(spec, 2)
+            x = rng.normal(size=(5, spec.input_length))
+            y = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+            probs, cache = forward_batch(model, x, want_cache=True)
+            full = backward_batch(model, cache, probs, y)
+            for k in range(len(model.layer_list)):
+                part = backward_batch(model, cache, probs, y, first_layer=k)
+                assert all(g is None for g in part[:k])
+                for (f_w, f_b), (p_w, p_b) in zip(full[k:], part[k:]):
+                    assert f_w.tobytes() == p_w.tobytes()
+                    assert f_b.tobytes() == p_b.tobytes()
+
+
+def rewrite_metadata(path, meta_blob: bytes) -> None:
+    """Replace a checkpoint's metadata block and recompute its CRC."""
+    blob = path.read_bytes()
+    head = len(CKPT_MAGIC) + 4 + 32
+    (count,) = struct.unpack_from("<Q", blob, head)
+    body = blob[: head + 8 + 8 * count] + struct.pack("<I", len(meta_blob)) + meta_blob
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
 
 class TestCheckpoints:
     def test_save_load_roundtrip(self, tmp_path):
@@ -198,3 +234,17 @@ class TestCheckpoints:
         save_checkpoint(model, {"k": 1}, p1)
         save_checkpoint(model, {"k": 1}, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("meta", [
+        b"{not json", b"\xff\xfe", b"[1, 2]", b"{}", b'{"spec": "cnn"}',
+        b'{"spec": {"kind": "cnn"}}', b'{"spec": {"kind": "mlp", "hidden_dims": [8, "x", 4]}}',
+        b'{"spec": {"kind": "cnn", "blocks": [[8, 7, 2, 0], [1, 1, 1, 1], [1, 1, 1, 1], '
+        b'[1, 1, 1, 1]], "hidden_dim": 4}}',
+        b"[" * 100_000,
+    ])
+    def test_malformed_metadata_is_corrupt(self, tmp_path, meta):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(TINY_MLP, 9), {}, path)
+        rewrite_metadata(path, meta)
+        with pytest.raises(CheckpointCorruptError):
+            load_checkpoint(path)

@@ -69,11 +69,11 @@ class TestTrainLoop:
     def test_freeze_conv_contract(self, small_dataset):
         from hifbench.profiles import CNN_SPEC
         model = build_model(CNN_SPEC, 4)
-        conv_before = [l.weights.copy() for l in model.conv_layers()]
+        conv_before = [(l.weights.tobytes(), l.bias.tobytes()) for l in model.conv_layers()]
         head_before = model.layer_list[-1].weights.copy()
         run = train(model, small_dataset, quick_config(epochs=2, freeze_conv=True))
         for before, layer in zip(conv_before, run.model.conv_layers()):
-            assert np.array_equal(before, layer.weights)
+            assert before == (layer.weights.tobytes(), layer.bias.tobytes())
         assert not np.array_equal(head_before, run.model.layer_list[-1].weights)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -16,6 +16,7 @@ import numpy as np
 from . import __version__, profiles
 from .datafile import DatasetFileError, read_dataset, write_dataset
 from .evaluation import evaluate, render_report, reports_to_csv
+from .fileio import write_atomic
 from .gradcheck import find_check_point, grad_check
 from .models import (
     CheckpointError,
@@ -59,7 +60,7 @@ def _write_manifest(out_path: Path, command: str, config_snapshot: dict, seeds: 
         "tool_version": __version__,
     }
     path = Path(str(out_path) + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _sha256(path) -> str:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .fileio import write_atomic
 from .waveforms import SCENARIOS, Dataset, Label, SystemId, Window
 
 MAGIC = b"HIFDATA\x01"
@@ -41,7 +42,7 @@ class DatasetTruncatedError(DatasetFileError):
 
 
 class DatasetFieldError(DatasetFileError):
-    """A label or scenario byte names no known value."""
+    """A label or scenario byte names no known value, or a sample is not finite."""
 
 
 _SCENARIO_BY_ID = {s.system_id: s for s in SCENARIOS.values()}
@@ -70,7 +71,7 @@ def write_dataset(d: Dataset, path) -> None:
         parts.append(np.ascontiguousarray(w.samples, dtype="<f8").tobytes())
     body = b"".join(parts)
     blob = body + struct.pack("<I", zlib.crc32(body))
-    Path(path).write_bytes(blob)
+    write_atomic(path, blob)
 
 
 def read_dataset(path) -> Dataset:
@@ -110,6 +111,8 @@ def read_dataset(path) -> Dataset:
             ) from exc
         samples = np.frombuffer(blob, dtype="<f8", count=window_length, offset=offset).copy()
         offset += 8 * window_length
+        if not np.all(np.isfinite(samples)):
+            raise DatasetFieldError(f"{path}: window {k}: non-finite sample")
         windows.append(Window(samples, label, w_scenario_id, gen_seed))
 
     scenario = _SCENARIO_BY_ID[scenario_id]

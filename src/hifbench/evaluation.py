@@ -9,10 +9,10 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .fileio import write_atomic
 from .models import Model, forward_batch
 from .waveforms import Dataset, Label
 
@@ -140,5 +140,5 @@ def reports_to_csv(reports: list[EvalReport], path=None) -> str:
         writer.writerow([r.name, m.tp, m.fp, m.fn, m.tn, f"{m.accuracy:.6f}"])
     text = buf.getvalue()
     if path is not None:
-        Path(path).write_text(text)
+        write_atomic(path, text)
     return text

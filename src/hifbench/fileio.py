@@ -1,0 +1,27 @@
+"""Artifact writes that never leave a partial file behind."""
+
+from __future__ import annotations
+
+import os
+from pathlib import Path
+
+
+def write_atomic(path, data: bytes | str) -> None:
+    """Write data (str as UTF-8) to path through a temporary file in the same
+    directory, renamed over path once complete.
+
+    A reader, or a run interrupted mid-write, sees the previous file or the
+    new one, never part of either.  The data is not fsynced, so this guards
+    against a failed or killed process, not against power loss.
+    """
+    path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -42,11 +42,9 @@ def kink_margin(model: Model, x: np.ndarray) -> float:
             gaps = (top2[..., 1] - top2[..., 0])[live]
             if gaps.size:
                 margin = min(margin, float(gaps.min()))
-        margin = min(margin, float(np.abs(cache["head"][2]).min()))
-    else:
-        pre_acts, _ = cache["head"]
-        for pre in pre_acts[:-1]:
-            margin = min(margin, float(np.abs(pre).min()))
+    pre_acts, _ = cache["head"]
+    for pre in pre_acts[:-1]:
+        margin = min(margin, float(np.abs(pre).min()))
     return margin
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field, replace
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import layers as L
+from .fileio import write_atomic
 
 INPUT_LENGTH = 300
 STD_FLOOR = 1e-8
@@ -144,17 +146,6 @@ def fingerprint(spec) -> bytes:
     return hashlib.sha256(json.dumps(spec.to_dict(), sort_keys=True).encode()).digest()
 
 
-def init_conv(out_channels: int, in_channels: int, kernel_size: int, rng) -> L.ConvLayer:
-    fan_in = in_channels * kernel_size
-    w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(out_channels, in_channels, kernel_size))
-    return L.ConvLayer(w, np.zeros(out_channels))
-
-
-def init_dense(out_dim: int, in_dim: int, rng) -> L.DenseLayer:
-    w = rng.normal(0.0, np.sqrt(2.0 / in_dim), size=(out_dim, in_dim))
-    return L.DenseLayer(w, np.zeros(out_dim))
-
-
 @dataclass
 class Model:
     spec: "CnnSpec | MlpSpec"
@@ -164,6 +155,11 @@ class Model:
     @property
     def is_cnn(self) -> bool:
         return isinstance(self.spec, CnnSpec)
+
+    @property
+    def n_conv(self) -> int:
+        """Conv layers at the front of layer_list; the dense head follows."""
+        return len(self.spec.blocks) if self.is_cnn else 0
 
     def conv_layers(self) -> list:
         return [l for l in self.layer_list if isinstance(l, L.ConvLayer)]
@@ -196,22 +192,31 @@ class Model:
         return Model(self.spec, layer_list, self.init_seed)
 
 
-def build_model(spec, init_seed: int) -> Model:
-    """He-initialized weights, zero biases; deterministic in init_seed."""
-    rng = np.random.default_rng(np.random.SeedSequence([init_seed, 0x1417]))
-    layer_list: list = []
+def _layer_shapes(spec) -> list[tuple[type, tuple[int, ...]]]:
+    """(layer class, weight shape) of each layer, in layer_list order."""
+    shapes: list = []
     if isinstance(spec, CnnSpec):
         in_channels = 1
         for blk in spec.blocks:
-            layer_list.append(init_conv(blk.out_channels, in_channels, blk.kernel_size, rng))
+            shapes.append((L.ConvLayer, (blk.out_channels, in_channels, blk.kernel_size)))
             in_channels = blk.out_channels
-        layer_list.append(init_dense(spec.hidden_dim, spec.flat_dim, rng))
-        layer_list.append(init_dense(spec.output_dim, spec.hidden_dim, rng))
+        dense_dims = [(spec.flat_dim, spec.hidden_dim), (spec.hidden_dim, spec.output_dim)]
     elif isinstance(spec, MlpSpec):
-        for in_dim, out_dim in spec.layer_dims:
-            layer_list.append(init_dense(out_dim, in_dim, rng))
+        dense_dims = spec.layer_dims
     else:
         raise SpecError(f"unknown spec type: {type(spec).__name__}")
+    shapes += [(L.DenseLayer, (out_dim, in_dim)) for in_dim, out_dim in dense_dims]
+    return shapes
+
+
+def build_model(spec, init_seed: int) -> Model:
+    """He-initialized weights, zero biases; deterministic in init_seed."""
+    rng = np.random.default_rng(np.random.SeedSequence([init_seed, 0x1417]))
+    layer_list = []
+    for cls, shape in _layer_shapes(spec):
+        fan_in = math.prod(shape[1:])
+        w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+        layer_list.append(cls(w, np.zeros(shape[0])))
     return Model(spec, layer_list, init_seed)
 
 
@@ -223,48 +228,63 @@ def standardize(x: np.ndarray) -> np.ndarray:
     return (x - mean) / std
 
 
-def forward_batch(model: Model, x: np.ndarray, want_cache: bool = False):
-    """Probabilities for a (B, input_length) batch of raw windows.
+def conv_features(model: Model, x: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Dense-head input for a (B, input_length) batch of raw windows, and the
+    activations backward_batch needs below the head.
 
-    With want_cache=True also returns the intermediate activations needed by
-    backward_batch.
+    The windows are standardized, run through the conv->ReLU->pool blocks and
+    flattened.  An MLP has no conv blocks: its features are the standardized
+    windows.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != model.spec.input_length:
         raise L.ShapeError(f"windows must have {model.spec.input_length} samples")
-    z = standardize(x)
+    h = standardize(x)
     cache = {"inputs": [], "pools": [], "pre_relu": []}
     if model.is_cnn:
-        h = z[:, None, :]  # (B, 1, L)
-        n_blocks = len(model.spec.blocks)
-        for blk, conv in zip(model.spec.blocks, model.layer_list[:n_blocks]):
+        h = h[:, None, :]  # (B, 1, L)
+        for blk, conv in zip(model.spec.blocks, model.layer_list):
             out, cols = L.conv_forward_batch(h, conv)
             cache["inputs"].append((h.shape, cols))
             cache["pre_relu"].append(out)
             act = L.relu_forward(out)
             h, offset = L.maxpool_forward_batch(act, blk.pool_width, blk.pool_stride)
             cache["pools"].append((offset, act.shape[2]))
-        flat = h.reshape(h.shape[0], -1)
-        dense_in = flat
-        hidden_pre = L.dense_forward_batch(dense_in, model.layer_list[-2])
-        hidden = L.relu_forward(hidden_pre)
-        logits = L.dense_forward_batch(hidden, model.layer_list[-1])[:, 0]
-        cache["head"] = (flat, h.shape, hidden_pre, hidden)
-    else:
-        h = z
-        pre_acts = []
-        acts = [h]
-        for i, layer in enumerate(model.layer_list):
-            pre = L.dense_forward_batch(h, layer)
-            pre_acts.append(pre)
-            if i < len(model.layer_list) - 1:
-                h = L.relu_forward(pre)
-                acts.append(h)
-        logits = pre_acts[-1][:, 0]
-        cache["head"] = (pre_acts, acts)
-    probs = L.sigmoid(logits)
+        cache["pooled_shape"] = h.shape
+    return h.reshape(h.shape[0], -1), cache
+
+
+def head_forward(model: Model, features: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Probabilities from dense-head input features, and the head's
+    (pre-activations, layer inputs) for backward_batch."""
+    dense = model.layer_list[model.n_conv:]
+    h = features
+    pre_acts, acts = [], [h]
+    for i, layer in enumerate(dense):
+        pre = L.dense_forward_batch(h, layer)
+        pre_acts.append(pre)
+        if i < len(dense) - 1:
+            h = L.relu_forward(pre)
+            acts.append(h)
+    probs = L.sigmoid(pre_acts[-1][:, 0])
     if not np.all(np.isfinite(probs)):
         raise FloatingPointError("non-finite activation in forward pass")
+    return probs, (pre_acts, acts)
+
+
+def forward_batch(model: Model, x: np.ndarray, want_cache: bool = False,
+                  from_features: bool = False):
+    """Probabilities for a (B, input_length) batch of raw windows.
+
+    With from_features=True, x holds conv_features output instead, and only
+    the dense head runs.  With want_cache=True also returns the intermediate
+    activations needed by backward_batch.
+    """
+    if from_features:
+        features, cache = x, {}
+    else:
+        features, cache = conv_features(model, x)
+    probs, cache["head"] = head_forward(model, features)
     if want_cache:
         return probs, cache
     return probs
@@ -281,43 +301,41 @@ def backward_batch(
     """Mean-BCE gradients, aligned with model.layer_list.
 
     Backpropagation stops at layer first_layer: the layers below it get None,
-    and a conv layer there skips its input gradient, which nothing reads.
+    and a conv layer there skips its input gradient, which nothing reads.  A
+    cache from features (no conv activations) supports only a first_layer at
+    or past the dense head.
     """
     d_logit = L.sigmoid_bce_backward(probs, y)  # (B,)
     grads: list = [None] * len(model.layer_list)
-    if model.is_cnn:
-        n_blocks = len(model.spec.blocks)
-        flat, pooled_shape, hidden_pre, hidden = cache["head"]
-        d_w2, d_b2, d_hidden = L.dense_backward_batch(d_logit[:, None], hidden, model.layer_list[-1])
-        grads[-1] = (d_w2, d_b2)
-        if first_layer > n_blocks:
-            return grads
-        d_hidden_pre = L.relu_backward(d_hidden, hidden_pre)
-        d_w1, d_b1, d_flat = L.dense_backward_batch(d_hidden_pre, flat, model.layer_list[-2])
-        grads[-2] = (d_w1, d_b1)
-        d_h = d_flat.reshape(pooled_shape)
-        for bi in range(n_blocks - 1, first_layer - 1, -1):
-            blk = model.spec.blocks[bi]
-            offset, act_len = cache["pools"][bi]
-            d_act = L.maxpool_backward_batch(d_h, offset, act_len, blk.pool_width, blk.pool_stride)
-            d_pre = L.relu_backward(d_act, cache["pre_relu"][bi])
-            in_shape, cols = cache["inputs"][bi]
-            d_w, d_b, d_h = L.conv_backward_batch(d_pre, cols, model.layer_list[bi], in_shape,
-                                                  input_grad=bi > first_layer)
-            grads[bi] = (d_w, d_b)
-    else:
-        pre_acts, acts = cache["head"]
-        d_pre = d_logit[:, None]
-        for i in range(len(model.layer_list) - 1, first_layer - 1, -1):
-            d_w, d_b, d_x = L.dense_backward_batch(d_pre, acts[i], model.layer_list[i])
-            grads[i] = (d_w, d_b)
-            if i > first_layer:
-                d_pre = L.relu_backward(d_x, pre_acts[i - 1])
+    n_conv = model.n_conv
+    pre_acts, acts = cache["head"]
+    stop = max(first_layer, n_conv)
+    d_pre = d_logit[:, None]
+    for i in range(len(model.layer_list) - 1, stop - 1, -1):
+        d_w, d_b, d_x = L.dense_backward_batch(d_pre, acts[i - n_conv], model.layer_list[i])
+        grads[i] = (d_w, d_b)
+        if i > stop:
+            d_pre = L.relu_backward(d_x, pre_acts[i - n_conv - 1])
+    if first_layer >= n_conv:
+        return grads
+    if "pooled_shape" not in cache:
+        raise ValueError("backward into the conv blocks needs a forward pass from raw windows")
+    d_h = d_x.reshape(cache["pooled_shape"])
+    for bi in range(n_conv - 1, first_layer - 1, -1):
+        blk = model.spec.blocks[bi]
+        offset, act_len = cache["pools"][bi]
+        d_act = L.maxpool_backward_batch(d_h, offset, act_len, blk.pool_width, blk.pool_stride)
+        d_pre = L.relu_backward(d_act, cache["pre_relu"][bi])
+        in_shape, cols = cache["inputs"][bi]
+        d_w, d_b, d_h = L.conv_backward_batch(d_pre, cols, model.layer_list[bi], in_shape,
+                                              input_grad=bi > first_layer)
+        grads[bi] = (d_w, d_b)
     return grads
 
 
-def batch_loss_and_grads(model: Model, x: np.ndarray, y: np.ndarray, first_layer: int = 0):
-    probs, cache = forward_batch(model, x, want_cache=True)
+def batch_loss_and_grads(model: Model, x: np.ndarray, y: np.ndarray, first_layer: int = 0,
+                         from_features: bool = False):
+    probs, cache = forward_batch(model, x, want_cache=True, from_features=from_features)
     loss = L.bce_loss(probs, y)
     grads = backward_batch(model, cache, probs, y, first_layer)
     return loss, grads, probs
@@ -354,7 +372,7 @@ def save_checkpoint(model: Model, metadata: dict, path) -> Checkpoint:
         + struct.pack("<I", len(meta_blob))
         + meta_blob
     )
-    Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    write_atomic(path, body + struct.pack("<I", zlib.crc32(body)))
     return Checkpoint(CKPT_VERSION, fingerprint(model.spec), params, meta)
 
 
@@ -400,6 +418,8 @@ def restore_for_transfer(ckpt: Checkpoint, target_spec) -> Model:
     """Model with the checkpoint's parameters, ready for fine-tuning."""
     if fingerprint(target_spec) != ckpt.fingerprint:
         raise FingerprintMismatchError("checkpoint fingerprint does not match the target spec")
-    model = build_model(target_spec, init_seed=int(ckpt.metadata.get("init_seed", 0)))
+    layer_list = [cls(np.empty(shape), np.empty(shape[0]))
+                  for cls, shape in _layer_shapes(target_spec)]
+    model = Model(target_spec, layer_list, init_seed=int(ckpt.metadata.get("init_seed", 0)))
     model.set_flat_parameters(ckpt.params)
     return model

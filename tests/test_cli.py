@@ -100,6 +100,22 @@ class TestTrainEvalPipeline:
                        "--out", tmp_path / "m.ckpt", "--epochs", 1) == cli.EXIT_DATA
         assert "label 7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_sample_is_data_error(self, dataset_file, tmp_path, capsys, value):
+        import struct
+        import zlib
+
+        from hifbench.datafile import _HEADER, _RECORD_HEAD
+
+        bad = tmp_path / "bad.dataset"
+        blob = bytearray(dataset_file.read_bytes())
+        struct.pack_into("<d", blob, _HEADER.size + _RECORD_HEAD.size + 8 * 5, value)
+        body = bytes(blob[:-4])
+        bad.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        assert run_cli("train", "--data", bad, "--model", "mlp",
+                       "--out", tmp_path / "m.ckpt", "--epochs", 1) == cli.EXIT_DATA
+        assert "non-finite sample" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, dataset_file, tmp_path):
         code = run_cli("train", "--data", dataset_file, "--model", "mlp",

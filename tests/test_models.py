@@ -16,7 +16,9 @@ from hifbench.models import (
     MlpSpec,
     SpecError,
     backward_batch,
+    batch_loss_and_grads,
     build_model,
+    conv_features,
     fingerprint,
     forward,
     forward_batch,
@@ -155,6 +157,34 @@ class TestBackwardStart:
                     assert f_b.tobytes() == p_b.tobytes()
 
 
+class TestStoredFeatures:
+    @pytest.mark.parametrize("batch", [32, 16, 7])
+    def test_head_step_from_stored_features_is_bytes_equal(self, tiny_target_dataset, batch):
+        from hifbench.profiles import CNN_SPEC
+
+        model = build_model(CNN_SPEC, 2)
+        x, y = tiny_target_dataset.to_arrays()
+        stored, _ = conv_features(model, x)  # one pass over all 60 windows
+        head = model.n_conv
+        sel = np.random.default_rng(batch).permutation(len(y))[:batch]
+        loss, grads, probs = batch_loss_and_grads(model, x[sel], y[sel], head)
+        s_loss, s_grads, s_probs = batch_loss_and_grads(model, stored[sel], y[sel], head,
+                                                        from_features=True)
+        assert np.float64(s_loss).tobytes() == np.float64(loss).tobytes()
+        assert s_probs.tobytes() == probs.tobytes()
+        assert s_grads[:head] == [None] * head
+        for (w, b), (s_w, s_b) in zip(grads[head:], s_grads[head:]):
+            assert s_w.tobytes() == w.tobytes()
+            assert s_b.tobytes() == b.tobytes()
+
+    def test_conv_gradients_need_raw_windows(self):
+        model = build_model(TINY_CNN, 2)
+        features, _ = conv_features(model, np.random.default_rng(0).normal(size=(3, 60)))
+        y = np.array([1.0, 0.0, 1.0])
+        with pytest.raises(ValueError):
+            batch_loss_and_grads(model, features, y, first_layer=0, from_features=True)
+
+
 def rewrite_metadata(path, meta_blob: bytes) -> None:
     """Replace a checkpoint's metadata block and recompute its CRC."""
     blob = path.read_bytes()
@@ -175,11 +205,16 @@ class TestCheckpoints:
         assert ckpt.spec == TINY_CNN
 
     def test_restore_for_transfer_is_exact(self, tmp_path):
-        model = build_model(TINY_MLP, 9)
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(model, {}, path)
-        restored = restore_for_transfer(load_checkpoint(path), TINY_MLP)
-        assert np.array_equal(restored.flat_parameters(), model.flat_parameters())
+        for spec in (TINY_MLP, TINY_CNN):
+            model = build_model(spec, 9)
+            path = tmp_path / "m.ckpt"
+            save_checkpoint(model, {"init_seed": 9}, path)
+            ckpt = load_checkpoint(path)
+            restored = restore_for_transfer(ckpt, spec)
+            assert restored.flat_parameters().tobytes() == model.flat_parameters().tobytes()
+            assert restored.init_seed == 9
+            restored.layer_list[0].weights += 1.0  # the model owns its arrays
+            assert ckpt.params.tobytes() == model.flat_parameters().tobytes()
 
     def test_restore_rejects_other_spec(self, tmp_path):
         model = build_model(TINY_MLP, 9)

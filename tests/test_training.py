@@ -76,6 +76,27 @@ class TestTrainLoop:
             assert before == (layer.weights.tobytes(), layer.bias.tobytes())
         assert not np.array_equal(head_before, run.model.layer_list[-1].weights)
 
+    def test_freeze_conv_runs_the_conv_blocks_once(self, small_dataset, monkeypatch):
+        from hifbench import layers as L
+        from hifbench.profiles import CNN_SPEC
+        from hifbench.waveforms import split
+
+        calls = []
+        real = L.conv_forward_batch
+
+        def counting(x, layer):
+            calls.append(x.shape[0])
+            return real(x, layer)
+
+        monkeypatch.setattr(L, "conv_forward_batch", counting)
+        cfg = quick_config(freeze_conv=True)
+        n_fit = len(split(small_dataset, 1.0 - cfg.validation_fraction, cfg.seed)[0])
+        n_batches = -(-n_fit // cfg.batch_size)
+        for epochs in (1, 4):
+            calls.clear()
+            train(build_model(CNN_SPEC, 4), small_dataset, dataclasses.replace(cfg, epochs=epochs))
+            assert len(calls) == 4 * (n_batches + 1)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self, small_dataset):
         from hifbench.profiles import MLP_SPEC

@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -259,10 +260,13 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     spec = _model_spec(args.model)
     model = build_model(spec, args.seed)
+    start = time.perf_counter()
     x, y = find_check_point(model, seed=args.seed)
     err = grad_check(model, x, y)
     status = "PASS" if err < GRADCHECK_TOLERANCE else "FAIL"
-    print(f"gradcheck {args.model}: max relative error {err:.3e} [{status}]")
+    seconds = time.perf_counter() - start
+    print(f"gradcheck {args.model}: max relative error {err:.3e} [{status}] "
+          f"({model.parameter_count()} parameters probed in {seconds:.2f} s)")
     return EXIT_OK if err < GRADCHECK_TOLERANCE else EXIT_USAGE
 
 
@@ -378,7 +382,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DatasetFileError as exc:
+    except (DatasetFileError, OSError) as exc:  # OSError: reading input or writing an artifact
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

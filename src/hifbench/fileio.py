@@ -12,7 +12,8 @@ def write_atomic(path, data: bytes | str) -> None:
 
     A reader, or a run interrupted mid-write, sees the previous file or the
     new one, never part of either.  The data is not fsynced, so this guards
-    against a failed or killed process, not against power loss.
+    against a failed or killed process, not against power loss.  A failed
+    write raises an OSError that names path, not the temporary file.
     """
     path = Path(path)
     if isinstance(data, str):
@@ -22,6 +23,9 @@ def write_atomic(path, data: bytes | str) -> None:
         with open(tmp, "xb") as f:
             f.write(data)
         os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

@@ -5,6 +5,15 @@ probe is only meaningful at evaluation points whose activations sit farther
 from the nearest kink than the probe can reach.  kink_margin measures that
 distance and find_check_point scans input seeds for a well-conditioned
 point before any differencing happens.
+
+numeric_gradients probes a whole weight column W[:, j] (or the bias) per
+kernel call: unit o reads only row o of W, so channel o holds the bytes the
+single probe W[o, j] gives.  Each probe's stage output, the unperturbed one
+with channel o swapped in, joins a stack of about GROUP_BYTES that the later
+layers run in one call each: conv on (P*B, C, L), dense on (P, B, F).  This
+equals a one-probe replay byte for byte while a conv window's output has the
+same bytes in any batch of two or more windows, as with OpenBLAS; at a check
+point of one window (B=1) the last bit may differ.
 """
 
 from __future__ import annotations
@@ -18,10 +27,12 @@ from .models import Model, batch_loss_and_grads, forward_batch, standardize
 FD_EPSILON = 1e-5
 REL_DENOM_FLOOR = 1e-8
 MIN_KINK_MARGIN = 3e-4
+GROUP_BYTES = 1 << 19  # stacked stage outputs replayed per call, about 0.5 MB
 
 
-def relative_error(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), REL_DENOM_FLOOR)
+def relative_error(a, b):
+    """|a - b| / max(|a|, |b|, REL_DENOM_FLOOR), elementwise."""
+    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), REL_DENOM_FLOOR)
 
 
 def kink_margin(model: Model, x: np.ndarray) -> float:
@@ -35,6 +46,8 @@ def kink_margin(model: Model, x: np.ndarray) -> float:
     if model.is_cnn:
         for blk, pre in zip(model.spec.blocks, cache["pre_relu"]):
             margin = min(margin, float(np.abs(pre).min()))
+            if blk.pool_width == 1:  # passes every unit on: no decision boundary
+                continue
             act = L.relu_forward(pre)
             windows = sliding_window_view(act, blk.pool_width, axis=2)[:, :, :: blk.pool_stride, :]
             top2 = np.sort(windows, axis=3)[..., -2:]
@@ -70,83 +83,78 @@ def find_check_point(
     return best_x, labels
 
 
-def _stage_inputs(model: Model, x: np.ndarray) -> list[np.ndarray]:
-    """Activation entering each stage; stage i holds exactly layer_list[i]."""
-    z = standardize(np.atleast_2d(x))
-    inputs = []
-    if model.is_cnn:
-        h = z[:, None, :]
-        n_blocks = len(model.spec.blocks)
-        for blk, conv in zip(model.spec.blocks, model.layer_list[:n_blocks]):
-            inputs.append(h)
-            out, _ = L.conv_forward_batch(h, conv)
-            h, _ = L.maxpool_forward_batch(L.relu_forward(out), blk.pool_width, blk.pool_stride)
-        flat = h.reshape(h.shape[0], -1)
-        inputs.append(flat)
-        hidden = L.relu_forward(L.dense_forward_batch(flat, model.layer_list[-2]))
-        inputs.append(hidden)
-    else:
-        h = z
-        for i, layer in enumerate(model.layer_list):
-            inputs.append(h)
-            pre = L.dense_forward_batch(h, layer)
-            h = L.relu_forward(pre) if i < len(model.layer_list) - 1 else pre
-    return inputs
+def _run_stage(model: Model, i: int, h: np.ndarray) -> np.ndarray:
+    """Stage i on input h: layer i's kernel, then ReLU and pool for a conv
+    block, ReLU for a hidden dense layer."""
+    layer = model.layer_list[i]
+    if i < model.n_conv:
+        blk = model.spec.blocks[i]
+        out, _ = L.conv_forward_batch(h, layer)
+        return L.maxpool_forward_batch(L.relu_forward(out), blk.pool_width, blk.pool_stride)[0]
+    out = L.dense_forward_batch(h, layer)
+    return L.relu_forward(out) if i < len(model.layer_list) - 1 else out
 
 
-def _loss_from_stage(model: Model, stage: int, h: np.ndarray, y: np.ndarray) -> float:
-    """Run stages stage..end starting from activation h, return the loss."""
-    if model.is_cnn:
-        n_blocks = len(model.spec.blocks)
-        i = stage
-        while i < n_blocks:
-            blk, conv = model.spec.blocks[i], model.layer_list[i]
-            out, _ = L.conv_forward_batch(h, conv)
-            h, _ = L.maxpool_forward_batch(L.relu_forward(out), blk.pool_width, blk.pool_stride)
-            i += 1
-        if stage <= n_blocks:
-            h = h.reshape(h.shape[0], -1)
-        if i == n_blocks:
-            h = L.relu_forward(L.dense_forward_batch(h, model.layer_list[-2]))
-            i += 1
-        logits = L.dense_forward_batch(h, model.layer_list[-1])[:, 0]
-    else:
-        for i in range(stage, len(model.layer_list)):
-            pre = L.dense_forward_batch(h, model.layer_list[i])
-            h = L.relu_forward(pre) if i < len(model.layer_list) - 1 else pre
-        logits = h[:, 0]
-    return L.bce_loss(L.sigmoid(logits), y)
+def _replay(model: Model, stage: int, act: np.ndarray, inputs: list | None = None) -> np.ndarray:
+    """Logits (P, B) from a stack (P, B, ...) of P outputs of a stage, running each
+    later stage once; with a list inputs (and P = 1), appends each later stage's input."""
+    p, b = act.shape[:2]
+    act = act.reshape(p * b, *act.shape[2:])
+    for i in range(stage + 1, len(model.layer_list)):
+        h = act if i < model.n_conv else act.reshape(p, b, -1)
+        if inputs is not None:
+            inputs.append(h if i < model.n_conv else h[0])
+        act = _run_stage(model, i, h)
+    return act.reshape(p, b, -1)[..., 0]
+
+
+def numeric_gradients(model: Model, x: np.ndarray, y: np.ndarray,
+                      epsilon: float = FD_EPSILON) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Central-difference (d_weights, d_bias) of the mean BCE at (x, y),
+    aligned with model.layer_list."""
+    probe = model.copy()  # contiguous arrays, so the column views below write through
+    z = standardize(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    stage_in = [z[:, None, :] if probe.n_conv else z]
+    _replay(probe, 0, _run_stage(probe, 0, stage_in[0])[None], stage_in)
+    grads = []
+    for stage, (layer, h) in enumerate(zip(probe.layer_list, stage_in)):
+        base = _run_stage(probe, stage, h)  # (B, O, ...)
+        n_out = layer.bias.size
+        rows = np.arange(2 * n_out)  # a column's probes, +epsilon then -epsilon
+        chunks = np.array_split(rows, -(-rows.size // max(1, GROUP_BYTES // base.nbytes)))
+        weight_cols = layer.weights.reshape(n_out, -1)
+        numeric = np.empty((n_out, weight_cols.shape[1] + 1))
+        for j, col in enumerate([*weight_cols.T, layer.bias]):
+            orig = col.copy()
+            col_out = []
+            for step in (epsilon, -epsilon):
+                col[...] = orig + step
+                col_out.append(_run_stage(probe, stage, h))
+            col[...] = orig
+            col_out = np.stack(col_out)
+            losses = np.empty(rows.size)
+            for chunk in chunks:
+                stack = np.repeat(base[None], chunk.size, axis=0)
+                u = chunk % n_out
+                stack[np.arange(chunk.size), :, u] = col_out[chunk // n_out, :, u]
+                losses[chunk] = L.bce_loss(L.sigmoid(_replay(probe, stage, stack)), y)
+            numeric[:, j] = (losses[:n_out] - losses[n_out:]) / (2.0 * epsilon)
+        grads.append((numeric[:, :-1].reshape(layer.weights.shape), numeric[:, -1]))
+    return grads
 
 
 def grad_check(model: Model, x: np.ndarray, y: np.ndarray, epsilon: float = FD_EPSILON) -> float:
-    """Worst relative error between analytic and central-difference gradients.
-
-    Every parameter is perturbed; recomputation starts at the perturbed
-    layer, so the cost is dominated by the head where most parameters live.
-    """
+    """Worst relative error between analytic and central-difference gradients
+    over every parameter; inf when any gradient or error is not finite."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
     loss, grads, _ = batch_loss_and_grads(model, x, y)
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss at the evaluation point")
-
-    probe = model.copy()
-    stage_in = _stage_inputs(probe, x)
-    worst = 0.0
-    for stage, layer in enumerate(probe.layer_list):
-        analytic_w, analytic_b = grads[stage]
-        h = stage_in[stage]
-        for view, analytic in (
-            (layer.weights.reshape(-1), np.asarray(analytic_w).ravel()),
-            (layer.bias.reshape(-1), np.asarray(analytic_b).ravel()),
-        ):
-            for j in range(view.size):
-                orig = view[j]
-                view[j] = orig + epsilon
-                loss_plus = _loss_from_stage(probe, stage, h, y)
-                view[j] = orig - epsilon
-                loss_minus = _loss_from_stage(probe, stage, h, y)
-                view[j] = orig
-                numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
-                worst = max(worst, relative_error(analytic[j], numeric))
-    return worst
+    numeric = numeric_gradients(model, x, y, epsilon)
+    # one output unit at a time: temporaries the size of a whole layer raised
+    # the process's peak memory
+    worst = np.max([relative_error(a, n).max() for pair_a, pair_n in zip(grads, numeric)
+                    for g_a, g_n in zip(pair_a, pair_n) for a, n in zip(g_a, g_n)])
+    # a NaN or inf gradient on either side makes its error, and so worst, NaN or inf
+    return float(worst) if np.isfinite(worst) else np.inf

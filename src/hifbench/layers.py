@@ -185,16 +185,17 @@ def sigmoid(x):
     return out
 
 
-def bce_loss(y_hat: np.ndarray, y: np.ndarray) -> float:
-    """Mean binary cross-entropy with probabilities clipped to [eps, 1-eps]."""
+def bce_loss(y_hat: np.ndarray, y: np.ndarray):
+    """Mean BCE, probabilities clipped to [eps, 1-eps]; per row for a stack (..., m) of rows."""
     y_hat = np.asarray(y_hat, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if y_hat.shape != y.shape:
+    if y.ndim != 1 or y_hat.shape[-1:] != y.shape:
         raise ShapeError("predictions and labels must have the same length")
     if y_hat.size == 0:
         raise ShapeError("cannot compute a loss over zero samples")
     p = np.clip(y_hat, EPS_PROB, 1.0 - EPS_PROB)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    loss = -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p), axis=-1)
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def sigmoid_bce_backward(y_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -303,8 +304,8 @@ def maxpool_backward_batch(
 
 
 def dense_forward_batch(x: np.ndarray, layer: DenseLayer) -> np.ndarray:
-    if x.ndim != 2 or x.shape[1] != layer.in_dim:
-        raise ShapeError(f"expected (B, {layer.in_dim}) input, got {x.shape}")
+    if x.ndim < 2 or x.shape[-1] != layer.in_dim:
+        raise ShapeError(f"expected (..., B, {layer.in_dim}) input, got {x.shape}")
     return x @ layer.weights.T + layer.bias
 
 

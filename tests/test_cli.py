@@ -180,4 +180,30 @@ class TestFinetune:
 class TestGradcheckCommand:
     def test_mlp_gradcheck_passes(self, capsys):
         assert run_cli("gradcheck", "--model", "mlp") == cli.EXIT_OK
-        assert "[PASS]" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "[PASS]" in out
+        assert "(48897 parameters probed in " in out
+
+    def test_width_one_pool(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "cnn", "hidden_dim": 4, "input_length": 40,
+                                    "blocks": [[2, 5, 1, 1], [2, 3, 2, 2],
+                                               [2, 3, 2, 2], [2, 3, 2, 2]]}))
+        assert run_cli("gradcheck", "--model", spec) in (cli.EXIT_OK, cli.EXIT_USAGE)
+        assert "max relative error" in capsys.readouterr().out
+
+
+class TestFileErrors:
+    def test_gen_into_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.dataset"
+        assert run_cli("gen", "--profile", "case2", "--count", 4,
+                       "--out", out) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(out) in err and ".tmp" not in err
+        assert not (tmp_path / "missing").exists()
+
+    def test_train_on_missing_dataset(self, tmp_path, capsys):
+        data = tmp_path / "absent.dataset"
+        assert run_cli("train", "--data", data, "--model", "mlp",
+                       "--out", tmp_path / "m.ckpt") == cli.EXIT_DATA
+        assert str(data) in capsys.readouterr().err

@@ -32,7 +32,7 @@ from .models import (
     save_checkpoint,
     spec_from_dict,
 )
-from .training import DivergenceError, TrainConfig, fine_tune, train
+from .training import DivergenceError, TrainConfig, train
 from .waveforms import ConfigError, GenConfig, build_dataset, split
 
 EXIT_OK = 0
@@ -172,8 +172,8 @@ def cmd_train(args) -> int:
         {"init_seed": args.init_seed, "train_seed": config.seed, "split_seed": args.split_seed},
         {"checkpoint": out, "checkpoint_sha256": _sha256(out), "curves": curves},
     )
-    print(f"trained {len(run.records)} epochs; "
-          f"final val loss {run.records[-1].val_loss:.4f}; checkpoint {out}")
+    val_loss = f"{run.records[-1].val_loss:.4f}" if run.records else "n/a"
+    print(f"trained {len(run.records)} epochs; final val loss {val_loss}; checkpoint {out}")
     return EXIT_OK
 
 
@@ -189,13 +189,13 @@ def cmd_finetune(args) -> int:
         ckpt = load_checkpoint(args.ckpt)
         if args.scratch:
             model = build_model(ckpt.spec, args.init_seed)
-            run = _run_training(model, train_set, config)
         else:
-            run = _run_training(restore_for_transfer(ckpt, ckpt.spec), train_set, config)
+            model = restore_for_transfer(ckpt, ckpt.spec)
     except FingerprintMismatchError as exc:
         raise CliError(str(exc), EXIT_FINGERPRINT) from exc
     except CheckpointError as exc:
         raise CliError(str(exc), EXIT_DATA) from exc
+    run = _run_training(model, train_set, config)
     out = Path(args.out)
     metadata = {
         "init_seed": args.init_seed if args.scratch else ckpt.metadata.get("init_seed", 0),
@@ -223,6 +223,9 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if not 0.0 <= args.threshold <= 1.0:  # NaN fails both comparisons
+        raise CliError(f"--threshold must be a number in [0, 1], got {args.threshold}",
+                       EXIT_CONFIG)
     dataset = _read_dataset(args.data)
     if args.holdout:
         try:
@@ -273,32 +276,33 @@ def cmd_gradcheck(args) -> int:
 def cmd_replicate(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    ns = argparse.Namespace
+
+    def run(*argv) -> int:
+        sub = build_parser().parse_args([str(a) for a in argv])
+        return sub.func(sub)
+
+    seed = [] if args.seed is None else ["--seed", args.seed]
     if args.case == "case1":
         data = outdir / "case1.dataset"
-        cmd_gen(ns(profile="case1", config=None, seed=args.seed, count=None, out=data))
-        common = dict(data=data, epochs=None, lr=None, batch=None, seed=None,
-                      train_fraction=profiles.CASE1_TRAIN_FRACTION, split_seed=profiles.SPLIT_SEED,
-                      init_seed=1, curves=None)
-        cmd_train(ns(model="cnn", out=outdir / "cnn.ckpt", **common))
-        cmd_train(ns(model="mlp", out=outdir / "mlp.ckpt", **common))
-        return cmd_eval(ns(ckpt=[outdir / "cnn.ckpt", outdir / "mlp.ckpt"], data=data,
-                           holdout=True, train_fraction=profiles.CASE1_TRAIN_FRACTION,
-                           split_seed=profiles.SPLIT_SEED, threshold=0.5,
-                           out=outdir / "case1_report.csv"))
+        split = ["--train-fraction", profiles.CASE1_TRAIN_FRACTION,
+                 "--split-seed", profiles.SPLIT_SEED]
+        run("gen", "--profile", "case1", "--out", data, *seed)
+        train_argv = ["train", "--data", data, "--init-seed", 1, *split]
+        run(*train_argv, "--model", "cnn", "--out", outdir / "cnn.ckpt")
+        run(*train_argv, "--model", "mlp", "--out", outdir / "mlp.ckpt")
+        return run("eval", "--ckpt", outdir / "cnn.ckpt", outdir / "mlp.ckpt", "--data", data,
+                   "--holdout", *split, "--threshold", 0.5, "--out", outdir / "case1_report.csv")
     if not args.source_ckpt:
         raise CliError("replicate case2 needs --source-ckpt (the trained case1 CNN)", EXIT_USAGE)
     data = outdir / "case2.dataset"
-    cmd_gen(ns(profile="case2", config=None, seed=args.seed, count=None, out=data))
-    common = dict(data=data, epochs=None, lr=None, batch=None, seed=None,
-                  train_fraction=profiles.CASE2_TRAIN_FRACTION, split_seed=profiles.SPLIT_SEED,
-                  init_seed=2, curves=None, ckpt=args.source_ckpt)
-    cmd_finetune(ns(scratch=False, out=outdir / "transfer.ckpt", freeze_conv=False, **common))
-    cmd_finetune(ns(scratch=True, out=outdir / "scratch.ckpt", freeze_conv=False, **common))
-    return cmd_eval(ns(ckpt=[outdir / "scratch.ckpt", outdir / "transfer.ckpt"], data=data,
-                       holdout=True, train_fraction=profiles.CASE2_TRAIN_FRACTION,
-                       split_seed=profiles.SPLIT_SEED, threshold=0.5,
-                       out=outdir / "case2_report.csv"))
+    split = ["--train-fraction", profiles.CASE2_TRAIN_FRACTION, "--split-seed", profiles.SPLIT_SEED]
+    run("gen", "--profile", "case2", "--out", data, *seed)
+    finetune_argv = ["finetune", "--ckpt", args.source_ckpt, "--data", data, "--init-seed", 2,
+                     *split]
+    run(*finetune_argv, "--out", outdir / "transfer.ckpt")
+    run(*finetune_argv, "--scratch", "--out", outdir / "scratch.ckpt")
+    return run("eval", "--ckpt", outdir / "scratch.ckpt", outdir / "transfer.ckpt", "--data", data,
+               "--holdout", *split, "--threshold", 0.5, "--out", outdir / "case2_report.csv")
 
 
 def build_parser() -> argparse.ArgumentParser:

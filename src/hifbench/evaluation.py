@@ -14,7 +14,7 @@ import numpy as np
 
 from .fileio import write_atomic
 from .models import Model, forward_batch
-from .waveforms import Dataset, Label
+from .waveforms import Dataset
 
 DEFAULT_THRESHOLD = 0.5
 
@@ -64,13 +64,6 @@ class EvalReport:
         return self.matrix.accuracy
 
 
-def classify(probability: float, threshold: float = DEFAULT_THRESHOLD) -> Label:
-    """HIF iff probability strictly exceeds the threshold."""
-    if not (0.0 <= probability <= 1.0):
-        raise ValueError("probability must lie in [0, 1]")
-    return Label.HIF if probability > threshold else Label.NORMAL
-
-
 def confusion_from_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionMatrix:
     y_true = np.asarray(y_true, dtype=bool)
     y_pred = np.asarray(y_pred, dtype=bool)
@@ -90,6 +83,8 @@ def evaluate(
     dataset_id: str = "",
     model_fingerprint: str = "",
 ) -> EvalReport:
+    """Confusion matrix of the model on the dataset: a window is predicted
+    HIF iff its probability strictly exceeds the threshold."""
     if len(test_dataset) == 0:
         raise ValueError("test dataset is empty")
     x, y = test_dataset.to_arrays()

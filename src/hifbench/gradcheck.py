@@ -9,11 +9,12 @@ point before any differencing happens.
 numeric_gradients probes a whole weight column W[:, j] (or the bias) per
 kernel call: unit o reads only row o of W, so channel o holds the bytes the
 single probe W[o, j] gives.  Each probe's stage output, the unperturbed one
-with channel o swapped in, joins a stack of about GROUP_BYTES that the later
-layers run in one call each: conv on (P*B, C, L), dense on (P, B, F).  This
-equals a one-probe replay byte for byte while a conv window's output has the
-same bytes in any batch of two or more windows, as with OpenBLAS; at a check
-point of one window (B=1) the last bit may differ.
+with channel o swapped in, joins a stack (P, B, features) of about
+GROUP_BYTES that models.run_stages replays to the loss, one call per later
+stage: conv on (P*B, C, L), dense on (P, B, F).  This equals a one-probe
+replay byte for byte while a conv window's output has the same bytes in any
+batch of two or more windows, as with OpenBLAS; at a check point of one
+window (B=1) the last bit may differ.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import layers as L
-from .models import Model, batch_loss_and_grads, forward_batch, standardize
+from .models import Model, batch_loss_and_grads, forward_batch, run_stage, run_stages
 
 FD_EPSILON = 1e-5
 REL_DENOM_FLOOR = 1e-8
@@ -41,23 +42,20 @@ def kink_margin(model: Model, x: np.ndarray) -> float:
     Small margins mean a parameter perturbation can flip an argmax or a ReLU
     sign, which invalidates finite differences at that point.
     """
-    _, cache = forward_batch(model, np.atleast_2d(x), want_cache=True)
+    _, caches = forward_batch(model, np.atleast_2d(x), want_cache=True)
     margin = np.inf
-    if model.is_cnn:
-        for blk, pre in zip(model.spec.blocks, cache["pre_relu"]):
-            margin = min(margin, float(np.abs(pre).min()))
-            if blk.pool_width == 1:  # passes every unit on: no decision boundary
-                continue
-            act = L.relu_forward(pre)
-            windows = sliding_window_view(act, blk.pool_width, axis=2)[:, :, :: blk.pool_stride, :]
-            top2 = np.sort(windows, axis=3)[..., -2:]
-            live = top2[..., 1] > 0  # ties among dead units stay at zero either way
-            gaps = (top2[..., 1] - top2[..., 0])[live]
-            if gaps.size:
-                margin = min(margin, float(gaps.min()))
-    pre_acts, _ = cache["head"]
-    for pre in pre_acts[:-1]:
+    for i, (_, pre, *_) in enumerate(caches[:-1]):  # the output layer has no ReLU
         margin = min(margin, float(np.abs(pre).min()))
+        pool = model.pool(i)
+        if pool is None or pool[0] == 1:  # a width-1 pool passes every unit on
+            continue
+        width, stride = pool
+        windows = sliding_window_view(L.relu_forward(pre), width, axis=2)[:, :, ::stride, :]
+        top2 = np.sort(windows, axis=3)[..., -2:]
+        live = top2[..., 1] > 0  # ties among dead units stay at zero either way
+        gaps = (top2[..., 1] - top2[..., 0])[live]
+        if gaps.size:
+            margin = min(margin, float(gaps.min()))
     return margin
 
 
@@ -83,43 +81,16 @@ def find_check_point(
     return best_x, labels
 
 
-def _run_stage(model: Model, i: int, h: np.ndarray) -> np.ndarray:
-    """Stage i on input h: layer i's kernel, then ReLU and pool for a conv
-    block, ReLU for a hidden dense layer."""
-    layer = model.layer_list[i]
-    if i < model.n_conv:
-        blk = model.spec.blocks[i]
-        out, _ = L.conv_forward_batch(h, layer)
-        return L.maxpool_forward_batch(L.relu_forward(out), blk.pool_width, blk.pool_stride)[0]
-    out = L.dense_forward_batch(h, layer)
-    return L.relu_forward(out) if i < len(model.layer_list) - 1 else out
-
-
-def _replay(model: Model, stage: int, act: np.ndarray, inputs: list | None = None) -> np.ndarray:
-    """Logits (P, B) from a stack (P, B, ...) of P outputs of a stage, running each
-    later stage once; with a list inputs (and P = 1), appends each later stage's input."""
-    p, b = act.shape[:2]
-    act = act.reshape(p * b, *act.shape[2:])
-    for i in range(stage + 1, len(model.layer_list)):
-        h = act if i < model.n_conv else act.reshape(p, b, -1)
-        if inputs is not None:
-            inputs.append(h if i < model.n_conv else h[0])
-        act = _run_stage(model, i, h)
-    return act.reshape(p, b, -1)[..., 0]
-
-
 def numeric_gradients(model: Model, x: np.ndarray, y: np.ndarray,
                       epsilon: float = FD_EPSILON) -> list[tuple[np.ndarray, np.ndarray]]:
     """Central-difference (d_weights, d_bias) of the mean BCE at (x, y),
     aligned with model.layer_list."""
     probe = model.copy()  # contiguous arrays, so the column views below write through
-    z = standardize(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    stage_in = [z[:, None, :] if probe.n_conv else z]
-    _replay(probe, 0, _run_stage(probe, 0, stage_in[0])[None], stage_in)
+    stage_in = [cache[0] for cache in forward_batch(probe, x, want_cache=True)[1]]
     grads = []
     for stage, (layer, h) in enumerate(zip(probe.layer_list, stage_in)):
-        base = _run_stage(probe, stage, h)  # (B, O, ...)
-        n_out = layer.bias.size
+        base = run_stage(probe, stage, h)[0]  # (B, O * length)
+        b, n_out = base.shape[0], layer.bias.size
         rows = np.arange(2 * n_out)  # a column's probes, +epsilon then -epsilon
         chunks = np.array_split(rows, -(-rows.size // max(1, GROUP_BYTES // base.nbytes)))
         weight_cols = layer.weights.reshape(n_out, -1)
@@ -129,15 +100,17 @@ def numeric_gradients(model: Model, x: np.ndarray, y: np.ndarray,
             col_out = []
             for step in (epsilon, -epsilon):
                 col[...] = orig + step
-                col_out.append(_run_stage(probe, stage, h))
+                col_out.append(run_stage(probe, stage, h)[0])
             col[...] = orig
-            col_out = np.stack(col_out)
+            col_out = np.stack(col_out).reshape(2, b, n_out, -1)
             losses = np.empty(rows.size)
             for chunk in chunks:
                 stack = np.repeat(base[None], chunk.size, axis=0)
+                units = stack.reshape(chunk.size, b, n_out, -1)  # a view of stack
                 u = chunk % n_out
-                stack[np.arange(chunk.size), :, u] = col_out[chunk // n_out, :, u]
-                losses[chunk] = L.bce_loss(L.sigmoid(_replay(probe, stage, stack)), y)
+                units[np.arange(chunk.size), :, u] = col_out[chunk // n_out, :, u]
+                logits = run_stages(probe, stack, stage + 1)
+                losses[chunk] = L.bce_loss(L.sigmoid(logits[..., 0]), y)
             numeric[:, j] = (losses[:n_out] - losses[n_out:]) / (2.0 * epsilon)
         grads.append((numeric[:, :-1].reshape(layer.weights.shape), numeric[:, -1]))
     return grads

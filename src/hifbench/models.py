@@ -1,6 +1,13 @@
 """Model assembly: the fixed 4-block CNN and 4-layer MLP, initialization,
-forward passes, and versioned checkpoints carrying an architecture
-fingerprint (the transfer-learning handoff unit)."""
+forward and backward passes, and versioned checkpoints carrying an
+architecture fingerprint (the transfer-learning handoff unit).
+
+A network is a list of stages, one per entry of layer_list: a conv block
+(conv -> ReLU -> max pool) or a dense layer (with a ReLU unless it is the
+output layer).  run_stage and stage_backward are the only forward and
+backward code: training, its frozen-feature store and the gradient checks
+all loop over them, starting at any stage k from that stage's input.
+"""
 
 from __future__ import annotations
 
@@ -152,17 +159,12 @@ class Model:
     layer_list: list
     init_seed: int
 
-    @property
-    def is_cnn(self) -> bool:
-        return isinstance(self.spec, CnnSpec)
-
-    @property
-    def n_conv(self) -> int:
-        """Conv layers at the front of layer_list; the dense head follows."""
-        return len(self.spec.blocks) if self.is_cnn else 0
-
-    def conv_layers(self) -> list:
-        return [l for l in self.layer_list if isinstance(l, L.ConvLayer)]
+    def pool(self, i: int) -> tuple[int, int] | None:
+        """(width, stride) of stage i's max pool; None for a dense stage."""
+        if not isinstance(self.layer_list[i], L.ConvLayer):
+            return None
+        blk = self.spec.blocks[i]
+        return blk.pool_width, blk.pool_stride
 
     def parameter_count(self) -> int:
         return sum(l.weights.size + l.bias.size for l in self.layer_list)
@@ -228,66 +230,83 @@ def standardize(x: np.ndarray) -> np.ndarray:
     return (x - mean) / std
 
 
-def conv_features(model: Model, x: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Dense-head input for a (B, input_length) batch of raw windows, and the
-    activations backward_batch needs below the head.
+def run_stage(model: Model, i: int, h: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Stage i on a stack h (..., B, features) of its inputs: (output, cache).
 
-    The windows are standardized, run through the conv->ReLU->pool blocks and
-    flattened.  An MLP has no conv blocks: its features are the standardized
-    windows.
+    A conv block views h as (N, in_channels, length) and runs conv -> ReLU ->
+    max pool; its output is flattened back to (..., B, features).  A dense
+    layer is followed by a ReLU, except the output layer, whose output is the
+    logit.  The cache holds the stage input, then the pre-activation, then,
+    for a conv block, the im2col matrix and the pool offsets.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != model.spec.input_length:
-        raise L.ShapeError(f"windows must have {model.spec.input_length} samples")
-    h = standardize(x)
-    cache = {"inputs": [], "pools": [], "pre_relu": []}
-    if model.is_cnn:
-        h = h[:, None, :]  # (B, 1, L)
-        for blk, conv in zip(model.spec.blocks, model.layer_list):
-            out, cols = L.conv_forward_batch(h, conv)
-            cache["inputs"].append((h.shape, cols))
-            cache["pre_relu"].append(out)
-            act = L.relu_forward(out)
-            h, offset = L.maxpool_forward_batch(act, blk.pool_width, blk.pool_stride)
-            cache["pools"].append((offset, act.shape[2]))
-        cache["pooled_shape"] = h.shape
-    return h.reshape(h.shape[0], -1), cache
-
-
-def head_forward(model: Model, features: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Probabilities from dense-head input features, and the head's
-    (pre-activations, layer inputs) for backward_batch."""
-    dense = model.layer_list[model.n_conv:]
-    h = features
-    pre_acts, acts = [], [h]
-    for i, layer in enumerate(dense):
+    layer = model.layer_list[i]
+    pool = model.pool(i)
+    if pool is None:
         pre = L.dense_forward_batch(h, layer)
-        pre_acts.append(pre)
-        if i < len(dense) - 1:
-            h = L.relu_forward(pre)
-            acts.append(h)
-    probs = L.sigmoid(pre_acts[-1][:, 0])
+        out = L.relu_forward(pre) if i < len(model.layer_list) - 1 else pre
+        return out, (h, pre)
+    x = h.reshape(-1, layer.in_channels, h.shape[-1] // layer.in_channels)
+    pre, cols = L.conv_forward_batch(x, layer)
+    out, offset = L.maxpool_forward_batch(L.relu_forward(pre), *pool)
+    return out.reshape(*h.shape[:-1], -1), (h, pre, cols, offset)
+
+
+def stage_backward(model: Model, i: int, grad: np.ndarray, cache: tuple,
+                   input_grad: bool) -> tuple[tuple, np.ndarray | None]:
+    """((d_weights, d_bias), d_input) of stage i from the gradient of its
+    output.  A conv block skips d_input (None) when input_grad is False."""
+    layer = model.layer_list[i]
+    pool = model.pool(i)
+    h, pre = cache[:2]
+    if pool is None:
+        if i < len(model.layer_list) - 1:
+            grad = L.relu_backward(grad, pre)
+        d_w, d_b, d_h = L.dense_backward_batch(grad, h, layer)
+        return (d_w, d_b), d_h
+    cols, offset = cache[2:]
+    d_act = L.maxpool_backward_batch(grad.reshape(offset.shape), offset, pre.shape[2], *pool)
+    d_pre = L.relu_backward(d_act, pre)
+    in_shape = (pre.shape[0], layer.in_channels, h.shape[-1] // layer.in_channels)
+    d_w, d_b, d_x = L.conv_backward_batch(d_pre, cols, layer, in_shape, input_grad)
+    return (d_w, d_b), None if d_x is None else d_x.reshape(h.shape)
+
+
+def run_stages(model: Model, h: np.ndarray, start: int = 0, stop: int | None = None,
+               caches: list | None = None) -> np.ndarray:
+    """Output of stages start..stop-1 (to the end by default), which is the
+    input of stage stop, from h, the input of stage start.
+
+    Stage 0's input is a (B, input_length) batch of raw windows, which are
+    standardized before stage 0 runs.  With a list caches, appends each
+    stage's cache to it.
+    """
+    stop = len(model.layer_list) if stop is None else stop
+    if start == 0 < stop:
+        h = np.atleast_2d(np.asarray(h, dtype=np.float64))
+        if h.shape[-1] != model.spec.input_length:
+            raise L.ShapeError(f"windows must have {model.spec.input_length} samples")
+        h = standardize(h)
+    for i in range(start, stop):
+        h, cache = run_stage(model, i, h)
+        if caches is not None:
+            caches.append(cache)
+        del cache  # else it would live on while the next stage runs
+    return h
+
+
+def forward_batch(model: Model, x: np.ndarray, want_cache: bool = False, start: int = 0):
+    """Probabilities for a (B, input_length) batch of raw windows, or, with
+    start=k, for x holding stage k's input.
+
+    With want_cache=True also returns the list of stage caches, stages
+    start..end, that backward_batch needs.
+    """
+    caches = [] if want_cache else None
+    logits = run_stages(model, x, start, caches=caches)
+    probs = L.sigmoid(logits[..., 0])
     if not np.all(np.isfinite(probs)):
         raise FloatingPointError("non-finite activation in forward pass")
-    return probs, (pre_acts, acts)
-
-
-def forward_batch(model: Model, x: np.ndarray, want_cache: bool = False,
-                  from_features: bool = False):
-    """Probabilities for a (B, input_length) batch of raw windows.
-
-    With from_features=True, x holds conv_features output instead, and only
-    the dense head runs.  With want_cache=True also returns the intermediate
-    activations needed by backward_batch.
-    """
-    if from_features:
-        features, cache = x, {}
-    else:
-        features, cache = conv_features(model, x)
-    probs, cache["head"] = head_forward(model, features)
-    if want_cache:
-        return probs, cache
-    return probs
+    return (probs, caches) if want_cache else probs
 
 
 def forward(model: Model, window: np.ndarray) -> float:
@@ -296,48 +315,31 @@ def forward(model: Model, window: np.ndarray) -> float:
 
 
 def backward_batch(
-    model: Model, cache: dict, probs: np.ndarray, y: np.ndarray, first_layer: int = 0
+    model: Model, caches: list, probs: np.ndarray, y: np.ndarray, first_layer: int = 0
 ) -> list:
     """Mean-BCE gradients, aligned with model.layer_list.
 
-    Backpropagation stops at layer first_layer: the layers below it get None,
-    and a conv layer there skips its input gradient, which nothing reads.  A
-    cache from features (no conv activations) supports only a first_layer at
-    or past the dense head.
+    Backpropagation stops at stage first_layer: the layers below it get None,
+    and a conv block there skips its input gradient, which nothing reads.  A
+    forward pass that started at stage k supports only a first_layer >= k.
     """
-    d_logit = L.sigmoid_bce_backward(probs, y)  # (B,)
-    grads: list = [None] * len(model.layer_list)
-    n_conv = model.n_conv
-    pre_acts, acts = cache["head"]
-    stop = max(first_layer, n_conv)
-    d_pre = d_logit[:, None]
-    for i in range(len(model.layer_list) - 1, stop - 1, -1):
-        d_w, d_b, d_x = L.dense_backward_batch(d_pre, acts[i - n_conv], model.layer_list[i])
-        grads[i] = (d_w, d_b)
-        if i > stop:
-            d_pre = L.relu_backward(d_x, pre_acts[i - n_conv - 1])
-    if first_layer >= n_conv:
-        return grads
-    if "pooled_shape" not in cache:
-        raise ValueError("backward into the conv blocks needs a forward pass from raw windows")
-    d_h = d_x.reshape(cache["pooled_shape"])
-    for bi in range(n_conv - 1, first_layer - 1, -1):
-        blk = model.spec.blocks[bi]
-        offset, act_len = cache["pools"][bi]
-        d_act = L.maxpool_backward_batch(d_h, offset, act_len, blk.pool_width, blk.pool_stride)
-        d_pre = L.relu_backward(d_act, cache["pre_relu"][bi])
-        in_shape, cols = cache["inputs"][bi]
-        d_w, d_b, d_h = L.conv_backward_batch(d_pre, cols, model.layer_list[bi], in_shape,
-                                              input_grad=bi > first_layer)
-        grads[bi] = (d_w, d_b)
+    n = len(model.layer_list)
+    start = n - len(caches)
+    if first_layer < start:
+        raise ValueError(f"backward to stage {first_layer} needs a forward pass from there, "
+                         f"not from stage {start}")
+    grads: list = [None] * n
+    grad = L.sigmoid_bce_backward(probs, y)[:, None]
+    for i in range(n - 1, first_layer - 1, -1):
+        grads[i], grad = stage_backward(model, i, grad, caches[i - start], i > first_layer)
     return grads
 
 
 def batch_loss_and_grads(model: Model, x: np.ndarray, y: np.ndarray, first_layer: int = 0,
-                         from_features: bool = False):
-    probs, cache = forward_batch(model, x, want_cache=True, from_features=from_features)
+                         start: int = 0):
+    probs, caches = forward_batch(model, x, want_cache=True, start=start)
     loss = L.bce_loss(probs, y)
-    grads = backward_batch(model, cache, probs, y, first_layer)
+    grads = backward_batch(model, caches, probs, y, first_layer)
     return loss, grads, probs
 
 

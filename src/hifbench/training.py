@@ -4,15 +4,16 @@ Everything is deterministic given (model init seed, dataset, config seed):
 shuffling uses a dedicated generator, batches are visited in a fixed order,
 and gradients are reduced in a fixed order inside each batch.
 
-When the conv blocks are frozen (freeze_conv, as in fine-tuning), each
-window's conv features stay the same for the whole run, so train() computes
-them once: the training windows in chunks of batch_size in index order, the
-validation windows in one call.  Every step and validation pass then runs
-only the dense head.  With OpenBLAS, conv output for a window has the same
-bytes whichever batch of 2 or more windows it is computed in, so the run
-equals one that recomputes the features for every batch.  A batch of one
-window is rounded differently in the last conv block's matmul: when the
-fit-set size mod batch_size is 1, the two can differ in the last bit.
+When the first k stages are frozen (freeze_conv, as in fine-tuning), each
+window's input to stage k stays the same for the whole run, so train()
+computes it once: the training windows in chunks of batch_size in index
+order, the validation windows in one call.  Every step and validation pass
+then runs only stages k..end.  With OpenBLAS, conv output for a window has
+the same bytes whichever batch of 2 or more windows it is computed in, so
+the run equals one that recomputes the frozen stages for every batch.  A
+batch of one window is rounded differently in the last conv block's matmul:
+when the fit-set size mod batch_size is 1, the two can differ in the last
+bit.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from .models import (
     Checkpoint,
     Model,
     batch_loss_and_grads,
-    conv_features,
-    fingerprint,
     forward_batch,
     restore_for_transfer,
+    run_stages,
 )
 from .waveforms import Dataset, split
 
@@ -148,14 +148,15 @@ def train(model: Model, dataset: Dataset, config: TrainConfig) -> TrainingRun:
 
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5D]))
     update_idx = _updatable_layers(work, config.freeze_conv)
-    # Frozen conv blocks map each window to the same features all run long.
-    # Chunks of batch_size bound memory and keep batch_size 1 bit-exact.
-    stored = config.epochs > 0 and 0 < work.n_conv <= update_idx[0]
-    if stored:
+    # The frozen stages before the first trained one map each window to the
+    # same input of that stage all run long: compute it once, in chunks of
+    # batch_size, which bound memory and keep batch_size 1 bit-exact.
+    frozen = update_idx[0] if config.epochs > 0 else 0
+    if frozen:
         bs = config.batch_size
-        x_train = np.concatenate([conv_features(work, x_train[lo : lo + bs])[0]
+        x_train = np.concatenate([run_stages(work, x_train[lo : lo + bs], stop=frozen)
                                   for lo in range(0, n, bs)])
-        x_val = conv_features(work, x_val)[0]
+        x_val = run_stages(work, x_val, stop=frozen)
     velocity = {
         i: (np.zeros_like(work.layer_list[i].weights), np.zeros_like(work.layer_list[i].bias))
         for i in update_idx
@@ -173,7 +174,7 @@ def train(model: Model, dataset: Dataset, config: TrainConfig) -> TrainingRun:
             sel = order[lo : lo + config.batch_size]
             try:
                 loss, grads, _ = batch_loss_and_grads(work, x_train[sel], y_train[sel],
-                                                      update_idx[0], from_features=stored)
+                                                      frozen, start=frozen)
             except FloatingPointError as exc:
                 raise DivergenceError(epoch, bi) from exc
             if not np.isfinite(loss):
@@ -191,7 +192,7 @@ def train(model: Model, dataset: Dataset, config: TrainConfig) -> TrainingRun:
                 layer.bias += v_b
         train_loss = loss_sum / n
         try:
-            val_probs = forward_batch(work, x_val, from_features=stored)
+            val_probs = forward_batch(work, x_val, start=frozen)
         except FloatingPointError as exc:
             raise DivergenceError(epoch, -1) from exc
         val_loss = L.bce_loss(val_probs, y_val)
@@ -226,8 +227,4 @@ def train(model: Model, dataset: Dataset, config: TrainConfig) -> TrainingRun:
 
 def fine_tune(checkpoint: Checkpoint, target_dataset: Dataset, config: TrainConfig) -> TrainingRun:
     """Same loop as train, but warm-started from a checkpoint."""
-    spec = checkpoint.spec
-    if fingerprint(spec) != checkpoint.fingerprint:
-        raise ValueError("checkpoint spec/fingerprint mismatch")
-    model = restore_for_transfer(checkpoint, spec)
-    return train(model, target_dataset, config)
+    return train(restore_for_transfer(checkpoint, checkpoint.spec), target_dataset, config)

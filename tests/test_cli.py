@@ -77,6 +77,32 @@ class TestTrainEvalPipeline:
         header = (tmp_path / "report.csv").read_text().splitlines()[0]
         assert header == "model,tp,fp,fn,tn,accuracy"
 
+    def test_zero_epochs_writes_a_loadable_checkpoint(self, dataset_file, tmp_path, capsys):
+        from hifbench.models import load_checkpoint
+
+        ckpt = tmp_path / "m.ckpt"
+        assert run_cli("train", "--data", dataset_file, "--model", "mlp", "--epochs", 0,
+                       "--out", ckpt) == cli.EXIT_OK
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "trained 0 epochs" in captured.out
+        assert load_checkpoint(ckpt).metadata["epochs_trained"] == 0
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "-0.1", "1.5"])
+    def test_bad_eval_threshold_is_config_error(self, dataset_file, tmp_path, capsys,
+                                                threshold):
+        from hifbench.profiles import MLP_SPEC
+
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(MLP_SPEC, 0), {}, ckpt)
+        # one argument, so that argparse reads "-inf" as a value, not an option
+        assert run_cli("eval", "--ckpt", ckpt, "--data", dataset_file,
+                       f"--threshold={threshold}") == cli.EXIT_CONFIG
+        assert "--threshold" in capsys.readouterr().err
+        for edge in (0.0, 1.0):
+            assert run_cli("eval", "--ckpt", ckpt, "--data", dataset_file,
+                           "--threshold", edge) == cli.EXIT_OK
+
     def test_corrupt_dataset_is_data_error(self, dataset_file, tmp_path):
         bad = tmp_path / "bad.dataset"
         blob = bytearray(dataset_file.read_bytes())

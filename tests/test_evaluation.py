@@ -1,18 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hifbench.evaluation import (
     ConfusionMatrix,
     EvalReport,
-    classify,
     confusion_from_predictions,
     evaluate,
     format_accuracy,
     render_report,
     reports_to_csv,
 )
-from hifbench.models import build_model
-from hifbench.waveforms import Label
+from hifbench.models import build_model, forward_batch
 
 from test_models import TINY_MLP
 
@@ -34,16 +34,28 @@ class TestConfusionMatrix:
             ConfusionMatrix(0, 0, 0, 0).accuracy
 
 
-class TestClassify:
-    def test_threshold_is_strict(self):
-        assert classify(0.5, 0.5) is Label.NORMAL
-        assert classify(0.500001, 0.5) is Label.HIF
-        assert classify(0.0) is Label.NORMAL
-        assert classify(1.0) is Label.HIF
+def trimmed(dataset, length):
+    """The dataset with each window cut to its first length samples."""
+    windows = [dataclasses.replace(w, samples=w.samples[:length]) for w in dataset.windows]
+    return dataclasses.replace(dataset, windows=windows)
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            classify(1.5)
+
+class TestClassify:
+    def test_threshold_is_strict(self, small_dataset):
+        model = build_model(TINY_MLP, 0)
+        data = trimmed(small_dataset, TINY_MLP.input_length)
+        one = dataclasses.replace(data, windows=data.windows[:1])
+        prob = float(forward_batch(model, one.to_arrays()[0])[0])
+
+        def predicted_hif(threshold):
+            m = evaluate(model, one, threshold=threshold).matrix
+            return m.tp + m.fp
+
+        # a window whose probability equals the threshold is NORMAL
+        assert predicted_hif(prob) == 0
+        assert predicted_hif(np.nextafter(prob, 0.0)) == 1
+        assert predicted_hif(0.0) == 1
+        assert predicted_hif(1.0) == 0
 
 
 class TestCounting:
@@ -56,12 +68,9 @@ class TestCounting:
     def test_counts_partition_the_dataset(self, small_dataset):
         model = build_model(TINY_MLP, 0)
         # TINY_MLP wants 20-sample windows, so trim the dataset windows
-        import dataclasses
-        windows = [dataclasses.replace(w, samples=w.samples[:20])
-                   for w in small_dataset.windows]
-        trimmed = dataclasses.replace(small_dataset, windows=windows)
-        report = evaluate(model, trimmed, name="probe")
-        assert report.matrix.total == len(trimmed)
+        data = trimmed(small_dataset, TINY_MLP.input_length)
+        report = evaluate(model, data, name="probe")
+        assert report.matrix.total == len(data)
 
 
 class TestRendering:

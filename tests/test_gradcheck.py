@@ -24,10 +24,14 @@ OVERLAP_CNN = CnnSpec(
 )
 
 
+def _is_conv(model, i):
+    return isinstance(model.layer_list[i], L.ConvLayer)
+
+
 def _one_probe_stage_inputs(model, x):
     """Activation entering each layer of model.layer_list."""
     h = standardize(np.atleast_2d(x))
-    if model.is_cnn:
+    if _is_conv(model, 0):
         h = h[:, None, :]
     inputs = []
     for i in range(len(model.layer_list)):
@@ -39,17 +43,21 @@ def _one_probe_stage_inputs(model, x):
 def _one_probe_layer(model, i, h):
     """Layer i and what follows its kernel, on a (B, ...) batch."""
     layer = model.layer_list[i]
-    if i < model.n_conv:
+    if _is_conv(model, i):
         blk = model.spec.blocks[i]
         out, _ = L.conv_forward_batch(h, layer)
         h, _ = L.maxpool_forward_batch(L.relu_forward(out), blk.pool_width, blk.pool_stride)
-        return h.reshape(h.shape[0], -1) if i == model.n_conv - 1 else h
+        return h if _is_conv(model, i + 1) else h.reshape(h.shape[0], -1)
     pre = L.dense_forward_batch(h, layer)
     return L.relu_forward(pre) if i < len(model.layer_list) - 1 else pre
 
 
 def one_probe_numeric_gradients(model, x, y, epsilon=FD_EPSILON):
-    """Oracle: perturb one parameter at a time and replay layers stage..end."""
+    """Oracle: perturb one parameter at a time and replay layers stage..end.
+
+    It restates the network's layers itself instead of calling
+    models.run_stage or run_stages, which the code under test uses.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     probe = model.copy()
     stage_in = _one_probe_stage_inputs(probe, x)
@@ -137,6 +145,22 @@ class TestColumnProbes:
         monkeypatch.setattr(G, "GROUP_BYTES", group_bytes)
         for (g_w, g_b), (w_w, w_b) in zip(numeric_gradients(model, x, y), want):
             assert g_w.tobytes() == w_w.tobytes() and g_b.tobytes() == w_b.tobytes()
+
+    def test_oracle_does_not_run_the_stage_list(self, monkeypatch):
+        import hifbench.gradcheck as G
+        import hifbench.models as M
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle must not share the code under test")
+
+        for module in (M, G):
+            monkeypatch.setattr(module, "run_stage", forbidden)
+            monkeypatch.setattr(module, "run_stages", forbidden)
+        for spec in (TINY_CNN, TINY_MLP):
+            model = build_model(spec, 0)
+            x = np.random.default_rng(0).normal(size=(2, spec.input_length))
+            grads = one_probe_numeric_gradients(model, x, np.array([1.0, 0.0]))
+            assert len(grads) == len(model.layer_list)
 
     def test_leaves_the_model_unchanged(self):
         model = build_model(TINY_CNN, 0)

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import struct
 import zlib
@@ -18,12 +19,12 @@ from hifbench.models import (
     backward_batch,
     batch_loss_and_grads,
     build_model,
-    conv_features,
     fingerprint,
     forward,
     forward_batch,
     load_checkpoint,
     restore_for_transfer,
+    run_stages,
     save_checkpoint,
     spec_from_dict,
     standardize,
@@ -157,6 +158,17 @@ class TestBackwardStart:
                     assert f_b.tobytes() == p_b.tobytes()
 
 
+def assert_same_step(want, got, start):
+    """(loss, grads, probs) of two steps have the same bytes; grads below start are None."""
+    (loss, grads, probs), (s_loss, s_grads, s_probs) = want, got
+    assert np.float64(s_loss).tobytes() == np.float64(loss).tobytes()
+    assert s_probs.tobytes() == probs.tobytes()
+    assert s_grads[:start] == [None] * start
+    for (w, b), (s_w, s_b) in zip(grads[start:], s_grads[start:]):
+        assert s_w.tobytes() == w.tobytes()
+        assert s_b.tobytes() == b.tobytes()
+
+
 class TestStoredFeatures:
     @pytest.mark.parametrize("batch", [32, 16, 7])
     def test_head_step_from_stored_features_is_bytes_equal(self, tiny_target_dataset, batch):
@@ -164,25 +176,73 @@ class TestStoredFeatures:
 
         model = build_model(CNN_SPEC, 2)
         x, y = tiny_target_dataset.to_arrays()
-        stored, _ = conv_features(model, x)  # one pass over all 60 windows
-        head = model.n_conv
+        head = len(CNN_SPEC.blocks)
+        stored = run_stages(model, x, stop=head)  # one pass over all 60 windows
         sel = np.random.default_rng(batch).permutation(len(y))[:batch]
-        loss, grads, probs = batch_loss_and_grads(model, x[sel], y[sel], head)
-        s_loss, s_grads, s_probs = batch_loss_and_grads(model, stored[sel], y[sel], head,
-                                                        from_features=True)
-        assert np.float64(s_loss).tobytes() == np.float64(loss).tobytes()
-        assert s_probs.tobytes() == probs.tobytes()
-        assert s_grads[:head] == [None] * head
-        for (w, b), (s_w, s_b) in zip(grads[head:], s_grads[head:]):
-            assert s_w.tobytes() == w.tobytes()
-            assert s_b.tobytes() == b.tobytes()
+        want = batch_loss_and_grads(model, x[sel], y[sel], head)
+        got = batch_loss_and_grads(model, stored[sel], y[sel], head, start=head)
+        assert_same_step(want, got, head)
+
+    @pytest.mark.parametrize("spec", [TINY_CNN, TINY_MLP], ids=["tiny_cnn", "tiny_mlp"])
+    def test_every_start_stage_is_bytes_equal(self, spec):
+        model = build_model(spec, 2)
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(12, spec.input_length))
+        y = (rng.random(12) < 0.5).astype(np.float64)
+        sel = rng.permutation(12)[:7]
+        for k in range(len(model.layer_list)):
+            stored = run_stages(model, x, stop=k)
+            want = batch_loss_and_grads(model, x[sel], y[sel], k)
+            got = batch_loss_and_grads(model, stored[sel], y[sel], k, start=k)
+            assert_same_step(want, got, k)
+            probs = forward_batch(model, stored, start=k)
+            assert probs.tobytes() == forward_batch(model, x).tobytes()
+            if k:
+                with pytest.raises(ValueError, match="needs a forward pass from there"):
+                    batch_loss_and_grads(model, stored[sel], y[sel], k - 1, start=k)
 
     def test_conv_gradients_need_raw_windows(self):
         model = build_model(TINY_CNN, 2)
-        features, _ = conv_features(model, np.random.default_rng(0).normal(size=(3, 60)))
+        features = run_stages(model, np.random.default_rng(0).normal(size=(3, 60)), stop=4)
         y = np.array([1.0, 0.0, 1.0])
-        with pytest.raises(ValueError):
-            batch_loss_and_grads(model, features, y, first_layer=0, from_features=True)
+        with pytest.raises(ValueError, match="needs a forward pass from there"):
+            batch_loss_and_grads(model, features, y, first_layer=0, start=4)
+
+
+KERNELS = ["conv_forward_batch", "conv_backward_batch", "maxpool_forward_batch",
+           "maxpool_backward_batch", "relu_forward", "relu_backward", "dense_forward_batch",
+           "dense_backward_batch"]
+
+
+def _counting(calls, name, real):
+    # positional arguments only: perfbench reads shapes from them
+    def counting(*args):
+        calls[name] += 1
+        return real(*args)
+    return counting
+
+
+class TestKernelCalls:
+    @pytest.mark.parametrize("spec, first_layer, want", [
+        (TINY_CNN, 0, dict(conv_forward_batch=4, maxpool_forward_batch=4, relu_forward=5,
+                           dense_forward_batch=2, dense_backward_batch=2, relu_backward=5,
+                           maxpool_backward_batch=4, conv_backward_batch=4)),
+        (TINY_CNN, 4, dict(conv_forward_batch=4, maxpool_forward_batch=4, relu_forward=5,
+                           dense_forward_batch=2, dense_backward_batch=2, relu_backward=1)),
+        (TINY_MLP, 0, dict(relu_forward=3, dense_forward_batch=4, dense_backward_batch=4,
+                           relu_backward=3)),
+        (TINY_MLP, 2, dict(relu_forward=3, dense_forward_batch=4, dense_backward_batch=2,
+                           relu_backward=1)),
+    ], ids=["cnn", "cnn_frozen_conv", "mlp", "mlp_from_stage_2"])
+    def test_one_step_calls_each_kernel_as_often_as_its_stages(self, monkeypatch, spec,
+                                                               first_layer, want):
+        calls = collections.Counter()
+        for name in KERNELS:
+            monkeypatch.setattr(L, name, _counting(calls, name, getattr(L, name)))
+        model = build_model(spec, 1)
+        x = np.random.default_rng(1).normal(size=(3, spec.input_length))
+        batch_loss_and_grads(model, x, np.array([1.0, 0.0, 1.0]), first_layer)
+        assert dict(calls) == want
 
 
 def rewrite_metadata(path, meta_blob: bytes) -> None:

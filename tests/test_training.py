@@ -67,12 +67,17 @@ class TestTrainLoop:
         assert run.records[-1].train_loss < run.records[0].train_loss
 
     def test_freeze_conv_contract(self, small_dataset):
+        from hifbench import layers as L
         from hifbench.profiles import CNN_SPEC
+
+        def convs(m):
+            return [l for l in m.layer_list if isinstance(l, L.ConvLayer)]
+
         model = build_model(CNN_SPEC, 4)
-        conv_before = [(l.weights.tobytes(), l.bias.tobytes()) for l in model.conv_layers()]
+        conv_before = [(l.weights.tobytes(), l.bias.tobytes()) for l in convs(model)]
         head_before = model.layer_list[-1].weights.copy()
         run = train(model, small_dataset, quick_config(epochs=2, freeze_conv=True))
-        for before, layer in zip(conv_before, run.model.conv_layers()):
+        for before, layer in zip(conv_before, convs(run.model)):
             assert before == (layer.weights.tobytes(), layer.bias.tobytes())
         assert not np.array_equal(head_before, run.model.layer_list[-1].weights)
 

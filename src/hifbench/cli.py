@@ -377,7 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage-error code, 2, is EXIT_CONFIG
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
     except CliError as exc:

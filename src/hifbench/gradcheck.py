@@ -9,12 +9,12 @@ point before any differencing happens.
 numeric_gradients probes a whole weight column W[:, j] (or the bias) per
 kernel call: unit o reads only row o of W, so channel o holds the bytes the
 single probe W[o, j] gives.  Each probe's stage output, the unperturbed one
-with channel o swapped in, joins a stack (P, B, features) of about
-GROUP_BYTES that models.run_stages replays to the loss, one call per later
-stage: conv on (P*B, C, L), dense on (P, B, F).  This equals a one-probe
-replay byte for byte while a conv window's output has the same bytes in any
-batch of two or more windows, as with OpenBLAS; at a check point of one
-window (B=1) the last bit may differ.
+with channel o (a Model.channels view) swapped in, joins a stack (P, B,
+features) of about GROUP_BYTES that models.run_stages replays to the loss,
+one call per later stage: conv on (P*B, C, L), dense on (P, B, F).  This
+equals a one-probe replay byte for byte while a conv window's output has
+the same bytes in any batch of two or more windows, as with OpenBLAS; at a
+check point of one window (B=1) the last bit may differ.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def numeric_gradients(model: Model, x: np.ndarray, y: np.ndarray,
     grads = []
     for stage, (layer, h) in enumerate(zip(probe.layer_list, stage_in)):
         base = run_stage(probe, stage, h)[0]  # (B, O * length)
-        b, n_out = base.shape[0], layer.bias.size
+        n_out = layer.bias.size
         rows = np.arange(2 * n_out)  # a column's probes, +epsilon then -epsilon
         chunks = np.array_split(rows, -(-rows.size // max(1, GROUP_BYTES // base.nbytes)))
         weight_cols = layer.weights.reshape(n_out, -1)
@@ -102,11 +102,11 @@ def numeric_gradients(model: Model, x: np.ndarray, y: np.ndarray,
                 col[...] = orig + step
                 col_out.append(run_stage(probe, stage, h)[0])
             col[...] = orig
-            col_out = np.stack(col_out).reshape(2, b, n_out, -1)
+            col_out = probe.channels(stage, np.stack(col_out))  # (2, B, O, T)
             losses = np.empty(rows.size)
             for chunk in chunks:
                 stack = np.repeat(base[None], chunk.size, axis=0)
-                units = stack.reshape(chunk.size, b, n_out, -1)  # a view of stack
+                units = probe.channels(stage, stack)  # a view of stack
                 u = chunk % n_out
                 units[np.arange(chunk.size), :, u] = col_out[chunk // n_out, :, u]
                 logits = run_stages(probe, stack, stage + 1)

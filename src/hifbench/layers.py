@@ -4,7 +4,9 @@ Two surfaces live here.  The single-sample functions (conv_forward,
 maxpool_forward, ...) operate on (channels, length) arrays; conv_forward
 accumulates in a fixed order (innermost kernel index fastest) so it is
 bit-equal to a naive nested-loop evaluation.  The *_batch functions operate
-on (batch, channels, length) arrays and are what the training loop uses.
+on (batch, channels, length) arrays and are what the training loop uses;
+the conv activations and gradients they return are views of channels-last
+(B, L, C) buffers, the layout in which im2col rows and matmul outputs lie.
 Batched conv goes through im2col-style matmuls, so it agrees with the
 per-sample path only to floating-point roundoff.  Max pooling has a single
 kernel, maxpool_forward_batch/maxpool_backward_batch; the single-sample pool
@@ -218,10 +220,11 @@ def conv_forward_batch(x: np.ndarray, layer: ConvLayer) -> tuple[np.ndarray, np.
     if c != layer.in_channels or length < layer.kernel_size:
         raise ShapeError("batched input incompatible with conv layer")
     out_len = conv_output_length(length, layer.kernel_size)
-    cols = sliding_window_view(x, layer.kernel_size, axis=2)  # (B, C, T, K)
-    cols = np.ascontiguousarray(cols.transpose(0, 2, 1, 3)).reshape(b * out_len, -1)
-    w_mat = layer.weights.reshape(layer.out_channels, -1)
-    out = cols @ w_mat.T + layer.bias
+    # row b*T + t is x[b, :, t : t + K], in the weights' (C, K) order
+    cols = sliding_window_view(x.transpose(0, 2, 1), layer.kernel_size, axis=1)
+    cols = cols.reshape(b * out_len, -1)
+    out = cols @ layer.weights.reshape(layer.out_channels, -1).T
+    out += layer.bias  # in place: `+ bias` would allocate a second (B*T, O) array
     return out.reshape(b, out_len, layer.out_channels).transpose(0, 2, 1), cols
 
 
@@ -231,7 +234,7 @@ def conv_backward_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """(d_weights, d_bias, d_input); d_input is None when input_grad is False."""
     b, _, out_len = grad_out.shape
-    g_mat = np.ascontiguousarray(grad_out.transpose(0, 2, 1)).reshape(b * out_len, -1)
+    g_mat = grad_out.transpose(0, 2, 1).reshape(b * out_len, -1)
     d_w = (g_mat.T @ cols).reshape(layer.weights.shape)
     d_b = g_mat.sum(axis=0)
     if not input_grad:
@@ -239,10 +242,10 @@ def conv_backward_batch(
     d_cols = (g_mat @ layer.weights.reshape(layer.out_channels, -1)).reshape(
         b, out_len, layer.in_channels, layer.kernel_size
     )
-    d_x = np.zeros(input_shape)
+    d_x = np.zeros((b, input_shape[2], layer.in_channels))
     for i in range(layer.kernel_size):
-        d_x[:, :, i : i + out_len] += d_cols[:, :, :, i].transpose(0, 2, 1)
-    return d_w, d_b, d_x
+        d_x[:, i : i + out_len] += d_cols[..., i]
+    return d_w, d_b, d_x.transpose(0, 2, 1)
 
 
 def maxpool_forward_batch(
@@ -260,9 +263,9 @@ def maxpool_forward_batch(
     if width > x.shape[2]:
         raise ShapeError("pool width exceeds input length")
     span = (pool_output_length(x.shape[2], width, stride) - 1) * stride + 1
-    out = x[..., 0:span:stride].copy()
+    out = x[..., 0:span:stride].copy(order="K")  # in x's layout
     out_bits = out.view(np.int64)
-    offset = np.zeros(out.shape, dtype=np.min_scalar_type(width - 1))
+    offset = np.zeros_like(out, dtype=np.min_scalar_type(width - 1))
     for i in range(1, width):
         cand = x[..., i : i + span : stride]
         # argmax's rule: a larger value wins, ties keep the earlier offset,
@@ -293,7 +296,7 @@ def maxpool_backward_batch(
     b, c, out_len = grad_out.shape
     span = (out_len - 1) * stride + 1
     grad_bits = grad_out.view(np.int64)
-    d_x = np.zeros((b, c, input_length))
+    d_x = np.zeros((b, input_length, c)).transpose(0, 2, 1)
     # a later window reaches a given position through a smaller offset
     for i in range(width - 1, -1, -1):
         # the gradient where offset == i, +0.0 elsewhere, selected on the bits
@@ -310,9 +313,9 @@ def dense_forward_batch(x: np.ndarray, layer: DenseLayer) -> np.ndarray:
 
 
 def dense_backward_batch(
-    grad_out: np.ndarray, x: np.ndarray, layer: DenseLayer
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    grad_out: np.ndarray, x: np.ndarray, layer: DenseLayer, input_grad: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(d_weights, d_bias, d_input); d_input is None when input_grad is False."""
     d_w = grad_out.T @ x
     d_b = grad_out.sum(axis=0)
-    d_x = grad_out @ layer.weights
-    return d_w, d_b, d_x
+    return d_w, d_b, grad_out @ layer.weights if input_grad else None

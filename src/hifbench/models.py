@@ -7,6 +7,8 @@ A network is a list of stages, one per entry of layer_list: a conv block
 output layer).  run_stage and stage_backward are the only forward and
 backward code: training, its frozen-feature store and the gradient checks
 all loop over them, starting at any stage k from that stage's input.
+Features enter conv blocks T-major (a free view of channels-last activations)
+and the dense head C-major.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .fileio import write_atomic
 
 INPUT_LENGTH = 300
 STD_FLOOR = 1e-8
+CONV_CHUNK = 64  # windows per conv pass of a forward that keeps no caches
 
 CKPT_MAGIC = b"HIFCKPT\x01"
 CKPT_VERSION = 1
@@ -160,11 +163,19 @@ class Model:
     init_seed: int
 
     def pool(self, i: int) -> tuple[int, int] | None:
-        """(width, stride) of stage i's max pool; None for a dense stage."""
-        if not isinstance(self.layer_list[i], L.ConvLayer):
+        """(width, stride) of stage i's max pool; None for a dense stage or past the last."""
+        if i >= len(self.layer_list) or not isinstance(self.layer_list[i], L.ConvLayer):
             return None
         blk = self.spec.blocks[i]
         return blk.pool_width, blk.pool_stride
+
+    def channels(self, i: int, out: np.ndarray) -> np.ndarray:
+        """(..., B, O, T) view of stage i's output (..., B, features): each of
+        its O output units over T positions (T = 1 for a dense stage)."""
+        n_out = self.layer_list[i].bias.size
+        if self.pool(i + 1) is None:  # C-major
+            return out.reshape(*out.shape[:-1], n_out, -1)
+        return out.reshape(*out.shape[:-1], -1, n_out).swapaxes(-1, -2)
 
     def parameter_count(self) -> int:
         return sum(l.weights.size + l.bias.size for l in self.layer_list)
@@ -245,30 +256,31 @@ def run_stage(model: Model, i: int, h: np.ndarray) -> tuple[np.ndarray, tuple]:
         pre = L.dense_forward_batch(h, layer)
         out = L.relu_forward(pre) if i < len(model.layer_list) - 1 else pre
         return out, (h, pre)
-    x = h.reshape(-1, layer.in_channels, h.shape[-1] // layer.in_channels)
+    x = h.reshape(-1, h.shape[-1] // layer.in_channels, layer.in_channels).transpose(0, 2, 1)
     pre, cols = L.conv_forward_batch(x, layer)
     out, offset = L.maxpool_forward_batch(L.relu_forward(pre), *pool)
+    out = out if model.pool(i + 1) is None else out.transpose(0, 2, 1)  # to T-major
     return out.reshape(*h.shape[:-1], -1), (h, pre, cols, offset)
 
 
 def stage_backward(model: Model, i: int, grad: np.ndarray, cache: tuple,
                    input_grad: bool) -> tuple[tuple, np.ndarray | None]:
     """((d_weights, d_bias), d_input) of stage i from the gradient of its
-    output.  A conv block skips d_input (None) when input_grad is False."""
+    output; d_input is None when input_grad is False."""
     layer = model.layer_list[i]
     pool = model.pool(i)
     h, pre = cache[:2]
     if pool is None:
         if i < len(model.layer_list) - 1:
             grad = L.relu_backward(grad, pre)
-        d_w, d_b, d_h = L.dense_backward_batch(grad, h, layer)
+        d_w, d_b, d_h = L.dense_backward_batch(grad, h, layer, input_grad)
         return (d_w, d_b), d_h
     cols, offset = cache[2:]
-    d_act = L.maxpool_backward_batch(grad.reshape(offset.shape), offset, pre.shape[2], *pool)
+    d_act = L.maxpool_backward_batch(model.channels(i, grad), offset, pre.shape[2], *pool)
     d_pre = L.relu_backward(d_act, pre)
     in_shape = (pre.shape[0], layer.in_channels, h.shape[-1] // layer.in_channels)
     d_w, d_b, d_x = L.conv_backward_batch(d_pre, cols, layer, in_shape, input_grad)
-    return (d_w, d_b), None if d_x is None else d_x.reshape(h.shape)
+    return (d_w, d_b), None if d_x is None else d_x.transpose(0, 2, 1).reshape(h.shape)
 
 
 def run_stages(model: Model, h: np.ndarray, start: int = 0, stop: int | None = None,
@@ -278,13 +290,21 @@ def run_stages(model: Model, h: np.ndarray, start: int = 0, stop: int | None = N
 
     Stage 0's input is a (B, input_length) batch of raw windows, which are
     standardized before stage 0 runs.  With a list caches, appends each
-    stage's cache to it.
+    stage's cache to it.  Without, conv stages run in chunks of CONV_CHUNK
+    windows (never 1, so OpenBLAS gives one pass's bytes), dense stages unchunked.
     """
     stop = len(model.layer_list) if stop is None else stop
     if start == 0 < stop:
         h = np.atleast_2d(np.asarray(h, dtype=np.float64))
         if h.shape[-1] != model.spec.input_length:
             raise L.ShapeError(f"windows must have {model.spec.input_length} samples")
+    dense = next((i for i in range(start, stop) if model.pool(i) is None), stop)
+    if caches is None and dense > start and h.shape[-2] > CONV_CHUNK + 1:
+        # a 1-window tail joins the last chunk; standardize works window by window
+        parts = np.split(h, range(CONV_CHUNK, h.shape[-2] - 1, CONV_CHUNK), axis=-2)
+        h = np.concatenate([run_stages(model, p, start, dense) for p in parts], axis=-2)
+        return run_stages(model, h, dense, stop)
+    if start == 0 < stop:
         h = standardize(h)
     for i in range(start, stop):
         h, cache = run_stage(model, i, h)

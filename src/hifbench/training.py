@@ -9,11 +9,11 @@ window's input to stage k stays the same for the whole run, so train()
 computes it once: the training windows in chunks of batch_size in index
 order, the validation windows in one call.  Every step and validation pass
 then runs only stages k..end.  With OpenBLAS, conv output for a window has
-the same bytes whichever batch of 2 or more windows it is computed in, so
-the run equals one that recomputes the frozen stages for every batch.  A
-batch of one window is rounded differently in the last conv block's matmul:
-when the fit-set size mod batch_size is 1, the two can differ in the last
-bit.
+the same bytes in any batch of 2 or more windows, so the run equals one
+that recomputes the frozen stages for every batch, and validation, run
+models.CONV_CHUNK windows at a time, equals one pass.  A batch of one
+window is rounded differently in the last conv block's matmul: when the
+fit-set size mod batch_size is 1, the two can differ in the last bit.
 """
 
 from __future__ import annotations

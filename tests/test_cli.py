@@ -233,3 +233,41 @@ class TestFileErrors:
         assert run_cli("train", "--data", data, "--model", "mlp",
                        "--out", tmp_path / "m.ckpt") == cli.EXIT_DATA
         assert str(data) in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["train", "--out", "x.ckpt"],  # --data missing
+        ["gradcheck", "--seed", "abc"],
+        ["eval", "--ckpt", "a", "--data", "b", "--threshold", "-inf"],  # read as an option
+    ], ids=["missing_required", "bad_int", "option_like_value"])
+    def test_parser_errors_exit_1(self, argv, capsys):
+        assert run_cli(*argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage: hifbench" in err and "Traceback" not in err
+
+    def test_help_exits_0(self, capsys):
+        assert run_cli("train", "--help") == cli.EXIT_OK
+        assert "--data" in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_the_cli():
+    import importlib
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hifbench
+
+    importlib.import_module("hifbench.__main__")  # as a walk over the package does: no CLI run
+    env = dict(os.environ)
+    src = str(Path(hifbench.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = lambda *argv: subprocess.run([sys.executable, "-m", "hifbench", *argv], env=env,
+                                       capture_output=True, text=True, timeout=60)
+    ok = run("--help")
+    assert ok.returncode == cli.EXIT_OK and "gradcheck" in ok.stdout
+    bad = run("gradcheck", "--seed", "abc")
+    assert bad.returncode == cli.EXIT_USAGE
+    assert "invalid int value" in bad.stderr and "Traceback" not in bad.stderr

@@ -187,8 +187,8 @@ class TestGradCheck:
 
         real = L.dense_backward_batch
 
-        def wrong(grad_out, x, layer):
-            d_w, d_b, d_x = real(grad_out, x, layer)
+        def wrong(*args, **kwargs):
+            d_w, d_b, d_x = real(*args, **kwargs)
             return d_w * 1.01, d_b, d_x
 
         model = build_model(TINY_MLP, 1)
@@ -216,8 +216,8 @@ class TestGradCheck:
 
         real = L.dense_backward_batch
 
-        def nan_for_one_weight(grad_out, x, layer):
-            d_w, d_b, d_x = real(grad_out, x, layer)
+        def nan_for_one_weight(*args, **kwargs):
+            d_w, d_b, d_x = real(*args, **kwargs)
             d_w = d_w.copy()
             d_w.flat[0] = np.nan
             return d_w, d_b, d_x

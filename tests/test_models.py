@@ -5,10 +5,12 @@ import zlib
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from hifbench import layers as L
 from hifbench.models import (
     CKPT_MAGIC,
+    CONV_CHUNK,
     CheckpointCorruptError,
     CheckpointVersionError,
     CnnSpec,
@@ -24,11 +26,16 @@ from hifbench.models import (
     forward_batch,
     load_checkpoint,
     restore_for_transfer,
+    run_stage,
     run_stages,
     save_checkpoint,
     spec_from_dict,
+    stage_backward,
     standardize,
 )
+from hifbench.profiles import CNN_SPEC
+
+from test_layers import add_at_maxpool_backward
 
 TINY_CNN = CnnSpec(
     blocks=(ConvBlockSpec(2, 5, 2, 2), ConvBlockSpec(2, 3, 2, 2),
@@ -157,6 +164,27 @@ class TestBackwardStart:
                     assert f_w.tobytes() == p_w.tobytes()
                     assert f_b.tobytes() == p_b.tobytes()
 
+    @pytest.mark.parametrize("spec, first_layer, want", [
+        (TINY_MLP, 0, [False, False, False, True]),
+        (TINY_MLP, 2, [False, True]),
+        (TINY_CNN, 4, [False, True]),
+    ], ids=["mlp", "mlp_from_stage_2", "cnn_frozen_conv"])
+    def test_first_trained_dense_layer_skips_its_input_gradient(self, monkeypatch, spec,
+                                                                first_layer, want):
+        skipped = []
+        real = L.dense_backward_batch
+
+        def recording(*args):
+            out = real(*args)
+            skipped.append(out[2] is None)
+            return out
+
+        monkeypatch.setattr(L, "dense_backward_batch", recording)
+        model = build_model(spec, 1)
+        x = np.random.default_rng(1).normal(size=(3, spec.input_length))
+        batch_loss_and_grads(model, x, np.array([1.0, 0.0, 1.0]), first_layer)
+        assert skipped == want
+
 
 def assert_same_step(want, got, start):
     """(loss, grads, probs) of two steps have the same bytes; grads below start are None."""
@@ -172,8 +200,6 @@ def assert_same_step(want, got, start):
 class TestStoredFeatures:
     @pytest.mark.parametrize("batch", [32, 16, 7])
     def test_head_step_from_stored_features_is_bytes_equal(self, tiny_target_dataset, batch):
-        from hifbench.profiles import CNN_SPEC
-
         model = build_model(CNN_SPEC, 2)
         x, y = tiny_target_dataset.to_arrays()
         head = len(CNN_SPEC.blocks)
@@ -207,6 +233,109 @@ class TestStoredFeatures:
         y = np.array([1.0, 0.0, 1.0])
         with pytest.raises(ValueError, match="needs a forward pass from there"):
             batch_loss_and_grads(model, features, y, first_layer=0, start=4)
+
+
+def contiguous_conv_forward(x, layer):
+    """Layout oracle: the batched conv as it ran on (B, C, L)-contiguous
+    activations, before they were stored channels-last."""
+    b, _, length = x.shape
+    out_len = length - layer.kernel_size + 1
+    cols = sliding_window_view(x, layer.kernel_size, axis=2)  # (B, C, T, K)
+    cols = np.ascontiguousarray(cols.transpose(0, 2, 1, 3)).reshape(b * out_len, -1)
+    out = cols @ layer.weights.reshape(layer.out_channels, -1).T + layer.bias
+    return out.reshape(b, out_len, layer.out_channels).transpose(0, 2, 1), cols
+
+
+def contiguous_conv_backward(grad_out, cols, layer, input_shape):
+    b, _, out_len = grad_out.shape
+    g_mat = np.ascontiguousarray(grad_out.transpose(0, 2, 1)).reshape(b * out_len, -1)
+    d_w = (g_mat.T @ cols).reshape(layer.weights.shape)
+    d_b = g_mat.sum(axis=0)
+    d_cols = (g_mat @ layer.weights.reshape(layer.out_channels, -1)).reshape(
+        b, out_len, layer.in_channels, layer.kernel_size
+    )
+    d_x = np.zeros(input_shape)
+    for i in range(layer.kernel_size):
+        d_x[:, :, i : i + out_len] += d_cols[:, :, :, i].transpose(0, 2, 1)
+    return d_w, d_b, d_x
+
+
+def contiguous_maxpool(x, width, stride):
+    """(output, argmax) of a max pool on (B, C, L), by np.argmax."""
+    windows = sliding_window_view(x, width, axis=2)[:, :, ::stride]
+    arg = windows.argmax(axis=3)
+    out = np.take_along_axis(windows, arg[..., None], axis=3)[..., 0]
+    return np.ascontiguousarray(out), arg + np.arange(arg.shape[2]) * stride
+
+
+def flat(a, t_major):
+    """(N, C, T) flattened to (N, features) position by position (T-major)
+    or channel by channel (C-major)."""
+    return (a.transpose(0, 2, 1) if t_major else a).reshape(len(a), -1)
+
+
+class TestChannelsLastLayout:
+    @pytest.mark.parametrize("spec", [TINY_CNN, CNN_SPEC], ids=["tiny_cnn", "cnn"])
+    @pytest.mark.parametrize("batch", [1, 2, 7, 32])
+    def test_conv_stages_are_bytes_equal_to_contiguous_oracle(self, spec, batch):
+        model = build_model(spec, 3)
+        rng = np.random.default_rng(batch)
+        h = standardize(rng.normal(size=(batch, spec.input_length)))
+        x = h[:, None, :]  # the oracle's (B, C, L) activation
+        for i, blk in enumerate(spec.blocks):
+            layer = model.layer_list[i]
+            t_major = i + 1 < len(spec.blocks)  # C-major into the dense head only
+            out, cache = run_stage(model, i, h)
+            pre, cols = contiguous_conv_forward(x, layer)
+            want, argmax = contiguous_maxpool(L.relu_forward(pre), blk.pool_width,
+                                              blk.pool_stride)
+            assert out.tobytes() == flat(want, t_major).tobytes()
+            g = rng.normal(size=want.shape)
+            (d_w, d_b), d_h = stage_backward(model, i, flat(g, t_major), cache, True)
+            d_pre = add_at_maxpool_backward(g, argmax, pre.shape[2]) * (pre > 0)
+            r_w, r_b, r_x = contiguous_conv_backward(d_pre, cols, layer, x.shape)
+            assert d_w.tobytes() == r_w.tobytes()
+            assert d_b.tobytes() == r_b.tobytes()
+            assert d_h.tobytes() == flat(r_x, True).tobytes()
+            h, x = out, want
+
+
+class TestBatchSizeInvariance:
+    """Chunked inference, train()'s frozen-feature store and the gradient
+    check's grouped replay all rely on one property of the BLAS (OpenBLAS has
+    it): a window's conv-stage output has the same bytes in any batch of two
+    or more windows.  A BLAS without it fails here first."""
+
+    def test_conv_rows_do_not_depend_on_the_batch(self):
+        model = build_model(CNN_SPEC, 2)
+        x = np.random.default_rng(7).normal(size=(70, CNN_SPEC.input_length))
+        head = len(CNN_SPEC.blocks)
+        want = run_stages(model, x, stop=head, caches=[])  # caches: one unchunked pass
+        for n in range(2, 70):
+            got = run_stages(model, x[-n:], stop=head, caches=[])
+            assert got.tobytes() == want[-n:].tobytes(), f"batch of {n}"
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 66, 129, 1000, 1001])
+    def test_chunked_forward_equals_one_pass(self, monkeypatch, n):
+        model = build_model(CNN_SPEC, 2)
+        x = np.random.default_rng(n).normal(size=(n, CNN_SPEC.input_length))
+        h = standardize(x)
+        for i in range(len(model.layer_list)):
+            h, _ = run_stage(model, i, h)
+        assert run_stages(model, x).tobytes() == h.tobytes()  # logits: dense rows unchunked
+        sizes = []
+        real = L.conv_forward_batch
+
+        def recording(inputs, layer):
+            if layer is model.layer_list[0]:
+                sizes.append(len(inputs))
+            return real(inputs, layer)
+
+        monkeypatch.setattr(L, "conv_forward_batch", recording)
+        assert forward_batch(model, x).tobytes() == L.sigmoid(h[:, 0]).tobytes()
+        full = max(0, (n - 2) // CONV_CHUNK)  # a 1-window tail joins the last chunk
+        assert sizes == [CONV_CHUNK] * full + [n - full * CONV_CHUNK]
+        assert min(sizes) >= 2 or n == 1
 
 
 KERNELS = ["conv_forward_batch", "conv_backward_batch", "maxpool_forward_batch",

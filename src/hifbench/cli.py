@@ -96,13 +96,6 @@ def _model_spec(name: str):
         raise CliError(f"cannot load model spec {name!r}: {exc}", EXIT_CONFIG) from exc
 
 
-def _read_dataset(path):
-    try:
-        return read_dataset(path)
-    except DatasetFileError as exc:
-        raise CliError(str(exc), EXIT_DATA) from exc
-
-
 def _train_config(args, base: TrainConfig) -> TrainConfig:
     overrides = {}
     if args.epochs is not None:
@@ -123,11 +116,8 @@ def _train_config(args, base: TrainConfig) -> TrainConfig:
 
 def cmd_gen(args) -> int:
     cfg = _load_gen_config(args)
-    try:
-        cfg.validate()
-        dataset = build_dataset(cfg)
-    except ConfigError as exc:
-        raise CliError(str(exc), EXIT_CONFIG) from exc
+    cfg.validate()
+    dataset = build_dataset(cfg)
     out = Path(args.out)
     write_dataset(dataset, out)
     _write_manifest(out, "gen", cfg.to_dict(), {"master_seed": cfg.seed},
@@ -136,86 +126,61 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _run_training(model, dataset, config):
-    try:
-        return train(model, dataset, config)
-    except DivergenceError as exc:
-        raise CliError(f"training diverged: {exc}", EXIT_DIVERGENCE) from exc
-
-
-def cmd_train(args) -> int:
-    dataset = _read_dataset(args.data)
-    spec = _model_spec(args.model)
-    base = profiles.CASE1_CNN_TRAIN if isinstance(spec, CnnSpec) else profiles.CASE1_MLP_TRAIN
-    config = _train_config(args, base)
-    try:
-        train_set, _ = split(dataset, args.train_fraction, args.split_seed)
-    except ConfigError as exc:
-        raise CliError(str(exc), EXIT_CONFIG) from exc
-    model = build_model(spec, args.init_seed)
-    run = _run_training(model, train_set, config)
+def _save_run(args, run, dataset, config, metadata: dict, snapshot: dict, seeds: dict,
+              artifacts: dict) -> Path:
+    """Write a trained model's checkpoint, loss curves and manifest; the dicts
+    hold the fields the command adds to the shared ones."""
     out = Path(args.out)
-    metadata = {
-        "init_seed": args.init_seed,
+    last = run.records[-1] if run.records else None
+    save_checkpoint(run.model, {
         "epochs_trained": len(run.records),
-        "final_train_loss": run.records[-1].train_loss if run.records else None,
-        "final_val_loss": run.records[-1].val_loss if run.records else None,
+        "final_train_loss": last.train_loss if last else None,
+        "final_val_loss": last.val_loss if last else None,
         "dataset_seed": dataset.master_seed,
-    }
-    save_checkpoint(run.model, metadata, out)
+        **metadata}, out)
     curves = Path(args.curves) if args.curves else out.with_suffix(".curves.csv")
     run.to_csv(curves)
     _write_manifest(
-        out, "train",
-        {"model": spec.to_dict(), "train": dataclasses.asdict(config),
-         "train_fraction": args.train_fraction, "split_seed": args.split_seed},
-        {"init_seed": args.init_seed, "train_seed": config.seed, "split_seed": args.split_seed},
-        {"checkpoint": out, "checkpoint_sha256": _sha256(out), "curves": curves},
+        out, args.cmd,
+        {"train": dataclasses.asdict(config), "train_fraction": args.train_fraction,
+         "split_seed": args.split_seed, **snapshot},
+        {"train_seed": config.seed, "split_seed": args.split_seed, **seeds},
+        {"checkpoint": out, "checkpoint_sha256": _sha256(out), "curves": curves, **artifacts},
     )
+    return out
+
+
+def cmd_train(args) -> int:
+    dataset = read_dataset(args.data)
+    spec = _model_spec(args.model)
+    base = profiles.CASE1_CNN_TRAIN if isinstance(spec, CnnSpec) else profiles.CASE1_MLP_TRAIN
+    config = _train_config(args, base)
+    train_set, _ = split(dataset, args.train_fraction, args.split_seed)
+    run = train(build_model(spec, args.init_seed), train_set, config)
+    out = _save_run(args, run, dataset, config, {"init_seed": args.init_seed},
+                    {"model": spec.to_dict()}, {"init_seed": args.init_seed}, {})
     val_loss = f"{run.records[-1].val_loss:.4f}" if run.records else "n/a"
     print(f"trained {len(run.records)} epochs; final val loss {val_loss}; checkpoint {out}")
     return EXIT_OK
 
 
 def cmd_finetune(args) -> int:
-    dataset = _read_dataset(args.data)
+    dataset = read_dataset(args.data)
     base = profiles.CASE2_SCRATCH if args.scratch else profiles.CASE2_FINETUNE
     config = _train_config(args, base)
-    try:
-        train_set, _ = split(dataset, args.train_fraction, args.split_seed)
-    except ConfigError as exc:
-        raise CliError(str(exc), EXIT_CONFIG) from exc
-    try:
-        ckpt = load_checkpoint(args.ckpt)
-        if args.scratch:
-            model = build_model(ckpt.spec, args.init_seed)
-        else:
-            model = restore_for_transfer(ckpt, ckpt.spec)
-    except FingerprintMismatchError as exc:
-        raise CliError(str(exc), EXIT_FINGERPRINT) from exc
-    except CheckpointError as exc:
-        raise CliError(str(exc), EXIT_DATA) from exc
-    run = _run_training(model, train_set, config)
-    out = Path(args.out)
+    train_set, _ = split(dataset, args.train_fraction, args.split_seed)
+    ckpt = load_checkpoint(args.ckpt)
+    if args.scratch:
+        model = build_model(ckpt.spec, args.init_seed)
+    else:
+        model = restore_for_transfer(ckpt, ckpt.spec)
+    run = train(model, train_set, config)
     metadata = {
         "init_seed": args.init_seed if args.scratch else ckpt.metadata.get("init_seed", 0),
-        "epochs_trained": len(run.records),
-        "final_train_loss": run.records[-1].train_loss if run.records else None,
-        "final_val_loss": run.records[-1].val_loss if run.records else None,
-        "dataset_seed": dataset.master_seed,
         "warm_start": not args.scratch,
     }
-    save_checkpoint(run.model, metadata, out)
-    curves = Path(args.curves) if args.curves else out.with_suffix(".curves.csv")
-    run.to_csv(curves)
-    _write_manifest(
-        out, "finetune",
-        {"train": dataclasses.asdict(config), "scratch": args.scratch,
-         "train_fraction": args.train_fraction, "split_seed": args.split_seed},
-        {"train_seed": config.seed, "split_seed": args.split_seed},
-        {"checkpoint": out, "checkpoint_sha256": _sha256(out), "curves": curves,
-         "source_checkpoint": args.ckpt},
-    )
+    out = _save_run(args, run, dataset, config, metadata, {"scratch": args.scratch}, {},
+                    {"source_checkpoint": args.ckpt})
     mode = "scratch" if args.scratch else "fine-tune"
     conv = run.convergence_epoch
     print(f"{mode}: {len(run.records)} epochs, convergence epoch {conv}, checkpoint {out}")
@@ -226,23 +191,15 @@ def cmd_eval(args) -> int:
     if not 0.0 <= args.threshold <= 1.0:  # NaN fails both comparisons
         raise CliError(f"--threshold must be a number in [0, 1], got {args.threshold}",
                        EXIT_CONFIG)
-    dataset = _read_dataset(args.data)
+    dataset = read_dataset(args.data)
     if args.holdout:
-        try:
-            _, dataset = split(dataset, args.train_fraction, args.split_seed)
-        except ConfigError as exc:
-            raise CliError(str(exc), EXIT_CONFIG) from exc
+        _, dataset = split(dataset, args.train_fraction, args.split_seed)
     if len(dataset) == 0:
         raise CliError("evaluation dataset is empty", EXIT_USAGE)
     reports = []
     for ckpt_path in args.ckpt:
-        try:
-            ckpt = load_checkpoint(ckpt_path)
-            model = restore_for_transfer(ckpt, ckpt.spec)
-        except FingerprintMismatchError as exc:
-            raise CliError(str(exc), EXIT_FINGERPRINT) from exc
-        except CheckpointError as exc:
-            raise CliError(str(exc), EXIT_DATA) from exc
+        ckpt = load_checkpoint(ckpt_path)
+        model = restore_for_transfer(ckpt, ckpt.spec)
         reports.append(
             evaluate(model, dataset, threshold=args.threshold, name=Path(ckpt_path).stem,
                      dataset_id=str(args.data), model_fingerprint=ckpt.fingerprint.hex())
@@ -384,14 +341,17 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        code, message = exc.code, str(exc)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DatasetFileError, OSError) as exc:  # OSError: reading input or writing an artifact
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        code, message = EXIT_CONFIG, str(exc)
+    except DivergenceError as exc:
+        code, message = EXIT_DIVERGENCE, f"training diverged: {exc}"
+    except FingerprintMismatchError as exc:  # before CheckpointError, its base
+        code, message = EXIT_FINGERPRINT, str(exc)
+    except (CheckpointError, DatasetFileError, OSError) as exc:  # OSError: input or artifact I/O
+        code, message = EXIT_DATA, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

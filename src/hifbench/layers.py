@@ -1,16 +1,14 @@
 """From-scratch 1D layer kernels: forward and backward passes.
 
-Two surfaces live here.  The single-sample functions (conv_forward,
-maxpool_forward, ...) operate on (channels, length) arrays; conv_forward
-accumulates in a fixed order (innermost kernel index fastest) so it is
-bit-equal to a naive nested-loop evaluation.  The *_batch functions operate
-on (batch, channels, length) arrays and are what the training loop uses;
-the conv activations and gradients they return are views of channels-last
-(B, L, C) buffers, the layout in which im2col rows and matmul outputs lie.
-Batched conv goes through im2col-style matmuls, so it agrees with the
-per-sample path only to floating-point roundoff.  Max pooling has a single
-kernel, maxpool_forward_batch/maxpool_backward_batch; the single-sample pool
-functions wrap it, so both paths give the same bytes.
+The *_batch functions operate on (batch, channels, length) arrays; training,
+inference and the gradient checks run them.  The conv activations and
+gradients they return are views of channels-last (B, L, C) buffers, the
+layout in which im2col rows and matmul outputs lie.  conv_forward is the one
+single-sample kernel, kept as an oracle: it accumulates on a (channels,
+length) array in a fixed order (innermost kernel index fastest), so it is
+bit-equal to a naive nested-loop evaluation.  Batched conv goes through
+im2col-style matmuls, whose summation order cannot be fixed, so it agrees
+with conv_forward only to floating-point roundoff.
 """
 
 from __future__ import annotations
@@ -73,14 +71,6 @@ class DenseLayer:
         return self.weights.shape[0]
 
 
-@dataclass
-class PoolRecord:
-    width: int
-    stride: int
-    argmax: np.ndarray  # (channels, out_length), indices into the input length axis
-    input_length: int
-
-
 def conv_output_length(length: int, kernel_size: int) -> int:
     return length - kernel_size + 1
 
@@ -106,25 +96,6 @@ def conv_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     return out
 
 
-def conv_backward(
-    grad_out: np.ndarray, x: np.ndarray, layer: ConvLayer
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (d_weights, d_bias, d_input) of conv_forward."""
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    out_len = conv_output_length(x.shape[1], layer.kernel_size)
-    if grad_out.shape != (layer.out_channels, out_len):
-        raise ShapeError(f"upstream gradient shape {grad_out.shape} does not match forward")
-    d_w = np.zeros_like(layer.weights)
-    d_x = np.zeros_like(x)
-    for i in range(layer.kernel_size):
-        x_slice = x[:, i : i + out_len]  # (in, out_len)
-        d_w[:, :, i] = grad_out @ x_slice.T
-        d_x[:, i : i + out_len] += layer.weights[:, :, i].T @ grad_out
-    d_b = grad_out.sum(axis=1)
-    return d_w, d_b, d_x
-
-
 def relu_forward(x: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, np.asarray(x, dtype=np.float64))
 
@@ -134,44 +105,6 @@ def relu_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
     if grad_out.shape != np.shape(x):
         raise ShapeError("gradient shape does not match cached input")
     return grad_out * (np.asarray(x) > 0)
-
-
-def maxpool_forward(x: np.ndarray, width: int, stride: int) -> tuple[np.ndarray, PoolRecord]:
-    """Per-channel max pooling; ties resolve to the first (lowest) index."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError("expected a (channels, length) input")
-    out, offset = maxpool_forward_batch(x[None], width, stride)
-    argmax = offset[0] + np.arange(out.shape[2]) * stride
-    return out[0], PoolRecord(width, stride, argmax, x.shape[1])
-
-
-def maxpool_backward(grad_out: np.ndarray, record: PoolRecord) -> np.ndarray:
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != record.argmax.shape:
-        raise ShapeError("gradient shape does not match pool record")
-    offset = record.argmax - np.arange(record.argmax.shape[1]) * record.stride
-    return maxpool_backward_batch(grad_out[None], offset[None], record.input_length,
-                                  record.width, record.stride)[0]
-
-
-def dense_forward(x: np.ndarray, layer: DenseLayer) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (layer.in_dim,):
-        raise ShapeError(f"expected a length-{layer.in_dim} vector, got {x.shape}")
-    return layer.weights @ x + layer.bias
-
-
-def dense_backward(
-    grad_out: np.ndarray, x: np.ndarray, layer: DenseLayer
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != (layer.out_dim,):
-        raise ShapeError("upstream gradient shape does not match layer")
-    d_w = np.outer(grad_out, x)
-    d_b = grad_out.copy()
-    d_x = layer.weights.T @ grad_out
-    return d_w, d_b, d_x
 
 
 def sigmoid(x):

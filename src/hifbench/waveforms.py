@@ -190,22 +190,11 @@ class Dataset:
         return x, y
 
 
-def hif_current(v_inst: float, p: HifParams) -> float:
-    """Instantaneous fault current of the anti-parallel diode model."""
-    if v_inst > p.v_p:
-        return (v_inst - p.v_p) / p.r_p
-    if v_inst < p.v_n:
-        return (v_inst - p.v_n) / p.r_n
-    return 0.0
-
-
-def _hif_current_array(v: np.ndarray, v_p: float, v_n: float, r_p: float, r_n: float) -> np.ndarray:
-    out = np.zeros_like(v)
-    pos = v > v_p
-    neg = v < v_n
-    out[pos] = (v[pos] - v_p) / r_p
-    out[neg] = (v[neg] - v_n) / r_n
-    return out
+def hif_current(v, p: HifParams):
+    """Instantaneous fault current of the anti-parallel diode model, elementwise
+    in the voltage.  Each diode conducts only beyond its own threshold, and
+    v_n < 0 < v_p, so at most one of the two terms is nonzero."""
+    return np.maximum(v - p.v_p, 0.0) / p.r_p + np.minimum(v - p.v_n, 0.0) / p.r_n
 
 
 def add_noise(samples: np.ndarray, level: float, rng: np.random.Generator) -> np.ndarray:
@@ -280,9 +269,8 @@ def synth_hif_window(scenario: FeederScenario, p: HifParams, rng_seed) -> Window
             j_p = 1.0 + rng.uniform(-p.arc_jitter, p.arc_jitter)
             j_n = 1.0 + rng.uniform(-p.arc_jitter, p.arc_jitter)
             mask = half_ids == hid
-            fault[k0:][mask] = _hif_current_array(
-                voltage[k0:][mask], p.v_p, p.v_n, p.r_p * j_p, p.r_n * j_n
-            )
+            fault[k0:][mask] = hif_current(voltage[k0:][mask],
+                                           replace(p, r_p=p.r_p * j_p, r_n=p.r_n * j_n))
 
     samples = add_noise(load + fault, scenario.noise_level, rng)
     return Window(samples, Label.HIF, scenario.system_id, _derived_seed(rng_seed))

@@ -140,28 +140,30 @@ def test_criterion_4_gradient_checks():
     start = time.perf_counter()
     rng = np.random.default_rng(404)
 
-    # conv layer in isolation
-    x = rng.normal(size=(2, 12))
+    # conv layer in isolation, through the batched kernels training runs
+    x = rng.normal(size=(2, 2, 12))
     layer = L.ConvLayer(rng.normal(size=(3, 2, 5)), rng.normal(size=3))
-    g = rng.normal(size=L.conv_forward(x, layer).shape)
-    loss = lambda: float(np.sum(L.conv_forward(x, layer) * g))
-    d_w, d_b, d_x = L.conv_backward(g, x, layer)
+    out, cols = L.conv_forward_batch(x, layer)
+    g = rng.normal(size=out.shape)
+    loss = lambda: float(np.sum(L.conv_forward_batch(x, layer)[0] * g))
+    d_w, d_b, d_x = L.conv_backward_batch(g, cols, layer, x.shape)
     for arr, analytic in ((layer.weights, d_w), (layer.bias, d_b), (x, d_x)):
         assert _fd_scalar(loss, arr, analytic) < GRADCHECK_TOLERANCE
 
     # max pool in isolation (values spread apart, so no kink within epsilon)
-    xp = rng.permutation(24.0 * np.arange(24)).reshape(2, 12)
-    gp = rng.normal(size=L.maxpool_forward(xp, 3, 2)[0].shape)
-    pool_loss = lambda: float(np.sum(L.maxpool_forward(xp, 3, 2)[0] * gp))
-    _, record = L.maxpool_forward(xp, 3, 2)
-    assert _fd_scalar(pool_loss, xp, L.maxpool_backward(gp, record)) < GRADCHECK_TOLERANCE
+    xp = rng.permutation(24.0 * np.arange(48)).reshape(2, 2, 12)
+    out, offset = L.maxpool_forward_batch(xp, 3, 2)
+    gp = rng.normal(size=out.shape)
+    pool_loss = lambda: float(np.sum(L.maxpool_forward_batch(xp, 3, 2)[0] * gp))
+    d_xp = L.maxpool_backward_batch(gp, offset, xp.shape[2], 3, 2)
+    assert _fd_scalar(pool_loss, xp, d_xp) < GRADCHECK_TOLERANCE
 
     # dense layer in isolation
-    xd = rng.normal(size=6)
+    xd = rng.normal(size=(3, 6))
     dense = L.DenseLayer(rng.normal(size=(4, 6)), rng.normal(size=4))
-    gd = rng.normal(size=4)
-    dense_loss = lambda: float(np.sum(L.dense_forward(xd, dense) * gd))
-    d_w, d_b, d_x = L.dense_backward(gd, xd, dense)
+    gd = rng.normal(size=(3, 4))
+    dense_loss = lambda: float(np.sum(L.dense_forward_batch(xd, dense) * gd))
+    d_w, d_b, d_x = L.dense_backward_batch(gd, xd, dense)
     for arr, analytic in ((dense.weights, d_w), (dense.bias, d_b), (xd, d_x)):
         assert _fd_scalar(dense_loss, arr, analytic) < GRADCHECK_TOLERANCE
 
@@ -198,10 +200,10 @@ def test_criterion_5_kernel_oracles_bit_equal():
                               naive_conv(x, layer.weights, layer.bias))
     for _ in range(ORACLE_SHAPE_COUNT):
         x, width, stride = random_pool_case(rng)
-        ours, record = L.maxpool_forward(x, width, stride)
+        out, offset = L.maxpool_forward_batch(x[None], width, stride)
         ref, ref_arg = naive_maxpool(x, width, stride)
-        assert np.array_equal(ours, ref)
-        assert np.array_equal(record.argmax, ref_arg)
+        assert np.array_equal(out[0], ref)
+        assert np.array_equal(offset[0] + np.arange(out.shape[2]) * stride, ref_arg)
 
 
 def test_criterion_6_reported_accuracies():

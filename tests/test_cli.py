@@ -143,11 +143,25 @@ class TestTrainEvalPipeline:
         assert "non-finite sample" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_exit_code(self, dataset_file, tmp_path):
+    def test_divergence_exit_code(self, dataset_file, tmp_path, capsys):
         code = run_cli("train", "--data", dataset_file, "--model", "mlp",
                        "--out", tmp_path / "m.ckpt", "--epochs", 10,
                        "--lr", 1e18)
         assert code == cli.EXIT_DIVERGENCE
+        assert "error: training diverged: non-finite loss" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "finetune", "eval"])
+    def test_bad_train_fraction_is_config_error(self, dataset_file, tmp_path, capsys, command):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(TINY_MLP, 0), {}, ckpt)
+        argv = {"train": ["train", "--model", "mlp", "--out", tmp_path / "x.ckpt"],
+                "finetune": ["finetune", "--ckpt", ckpt, "--out", tmp_path / "x.ckpt"],
+                "eval": ["eval", "--ckpt", ckpt, "--holdout"]}[command]
+        assert run_cli(*argv, "--data", dataset_file,
+                       "--train-fraction", 1.5) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "error: train_fraction" in err and "Traceback" not in err
+        assert not (tmp_path / "x.ckpt").exists()
 
     def test_bad_spec_file_is_config_error(self, dataset_file, tmp_path):
         spec = tmp_path / "spec.json"
@@ -201,6 +215,28 @@ class TestFinetune:
         assert run_cli("finetune", "--ckpt", src, "--data", dataset_file,
                        "--out", tmp_path / "x.ckpt",
                        "--epochs", 1) == cli.EXIT_FINGERPRINT
+        assert run_cli("eval", "--ckpt", src, "--data", dataset_file) == cli.EXIT_FINGERPRINT
+
+    def test_training_commands_call_cli_train_once(self, dataset_file, tmp_path,
+                                                   monkeypatch):
+        """The benchmark times training by replacing cli.train, so each
+        training command must reach train() through that name, once."""
+        calls = []
+        inner = cli.train
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", counting)
+        src = tmp_path / "src.ckpt"
+        finetune = ["finetune", "--ckpt", src, "--data", dataset_file, "--epochs", 1]
+        for argv in (["train", "--data", dataset_file, "--model", "mlp", "--epochs", 1],
+                     finetune, [*finetune, "--scratch"]):
+            calls.clear()
+            out = src if argv[0] == "train" else tmp_path / "ft.ckpt"
+            assert run_cli(*argv, "--out", out) == cli.EXIT_OK
+            assert len(calls) == 1, argv
 
 
 class TestGradcheckCommand:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from hifbench import layers as L
 
@@ -43,6 +44,17 @@ def add_at_maxpool_backward(grad_out, argmax, input_length):
     rows = np.repeat(np.arange(b * c), out_len)
     np.add.at(d_x, (rows, argmax.ravel()), grad_out.ravel())
     return d_x.reshape(b, c, input_length)
+
+
+def window_conv_backward(grad_out, x, weights):
+    """Reference conv backward on one (channels, length) sample: einsums over
+    the input's sliding windows, (d_weights, d_bias, d_input)."""
+    windows = sliding_window_view(x, weights.shape[2], axis=1)  # (C, T, K)
+    d_windows = np.einsum("ock,ot->ctk", weights, grad_out)
+    d_x = np.zeros_like(x)
+    for t in range(grad_out.shape[1]):
+        d_x[:, t : t + weights.shape[2]] += d_windows[:, t]
+    return np.einsum("ot,ctk->ock", grad_out, windows), grad_out.sum(axis=1), d_x
 
 
 def random_conv_case(rng):
@@ -91,13 +103,15 @@ class TestConvBackward:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         x, layer = random_conv_case(rng)
-        g = rng.normal(size=L.conv_forward(x, layer).shape)
-        d_w, d_b, d_x = L.conv_backward(g, x, layer)
+        x = np.stack([x, rng.normal(size=x.shape)])
+        out, cols = L.conv_forward_batch(x, layer)
+        g = rng.normal(size=out.shape)
+        d_w, d_b, d_x = L.conv_backward_batch(g, cols, layer, x.shape)
         eps = 1e-6
 
         def loss(weights, bias, inp):
             probe = L.ConvLayer(weights, bias)
-            return float(np.sum(L.conv_forward(inp, probe) * g))
+            return float(np.sum(L.conv_forward_batch(inp, probe)[0] * g))
 
         for arr, grad, name in ((layer.weights, d_w, "w"), (layer.bias, d_b, "b"),
                                 (x, d_x, "x")):
@@ -112,11 +126,10 @@ class TestConvBackward:
                 fd = (hi - lo) / (2 * eps)
                 assert grad.reshape(-1)[idx] == pytest.approx(fd, abs=1e-6), name
 
-    def test_rejects_mismatched_gradient(self):
-        rng = np.random.default_rng(6)
-        x, layer = random_conv_case(rng)
-        with pytest.raises(L.ShapeError):
-            L.conv_backward(np.zeros((layer.out_channels, 1000)), x, layer)
+
+def pool_argmax(offset, stride):
+    """Global input positions of the window maxima from the kernel's offsets."""
+    return offset + np.arange(offset.shape[-1]) * stride
 
 
 class TestMaxPool:
@@ -124,54 +137,57 @@ class TestMaxPool:
         rng = np.random.default_rng(77)
         for _ in range(50):
             x, width, stride = random_pool_case(rng)
-            ours, record = L.maxpool_forward(x, width, stride)
+            ours, offset = L.maxpool_forward_batch(x[None], width, stride)
             ref, ref_arg = naive_maxpool(x, width, stride)
-            assert np.array_equal(ours, ref)
-            assert np.array_equal(record.argmax, ref_arg)
+            assert np.array_equal(ours[0], ref)
+            assert np.array_equal(pool_argmax(offset, stride)[0], ref_arg)
 
     def test_tie_breaks_to_first_index(self):
-        x = np.array([[3.0, 3.0, 1.0, 3.0]])
-        out, record = L.maxpool_forward(x, 2, 2)
-        assert np.array_equal(out, [[3.0, 3.0]])
-        assert np.array_equal(record.argmax, [[0, 3]])
+        x = np.array([[[3.0, 3.0, 1.0, 3.0]]])
+        out, offset = L.maxpool_forward_batch(x, 2, 2)
+        assert np.array_equal(out, [[[3.0, 3.0]]])
+        assert np.array_equal(pool_argmax(offset, 2), [[[0, 3]]])
 
     def test_backward_routes_to_argmax_only(self):
-        x = np.array([[1.0, 5.0, 2.0, 2.0]])
-        out, record = L.maxpool_forward(x, 2, 2)
-        d_x = L.maxpool_backward(np.array([[10.0, 20.0]]), record)
-        assert np.array_equal(d_x, [[0.0, 10.0, 20.0, 0.0]])
+        x = np.array([[[1.0, 5.0, 2.0, 2.0]]])
+        _, offset = L.maxpool_forward_batch(x, 2, 2)
+        d_x = L.maxpool_backward_batch(np.array([[[10.0, 20.0]]]), offset, 4, 2, 2)
+        assert np.array_equal(d_x, [[[0.0, 10.0, 20.0, 0.0]]])
 
     def test_overlapping_windows_accumulate(self):
-        x = np.array([[0.0, 9.0, 0.0]])
-        out, record = L.maxpool_forward(x, 2, 1)
-        d_x = L.maxpool_backward(np.array([[1.0, 1.0]]), record)
-        assert np.array_equal(d_x, [[0.0, 2.0, 0.0]])
+        x = np.array([[[0.0, 9.0, 0.0]]])
+        _, offset = L.maxpool_forward_batch(x, 2, 1)
+        d_x = L.maxpool_backward_batch(np.array([[[1.0, 1.0]]]), offset, 3, 2, 1)
+        assert np.array_equal(d_x, [[[0.0, 2.0, 0.0]]])
 
     def test_width_larger_than_input_rejected(self):
         with pytest.raises(L.ShapeError):
-            L.maxpool_forward(np.zeros((1, 3)), 4, 1)
+            L.maxpool_forward_batch(np.zeros((1, 1, 3)), 4, 1)
 
 
 class TestDense:
     def test_forward(self):
         layer = L.DenseLayer(np.array([[1.0, 2.0], [0.0, -1.0]]), np.array([1.0, 0.0]))
-        out = L.dense_forward(np.array([3.0, 4.0]), layer)
-        assert np.array_equal(out, [12.0, -4.0])
+        out = L.dense_forward_batch(np.array([[3.0, 4.0], [0.0, 1.0]]), layer)
+        assert np.array_equal(out, [[12.0, -4.0], [3.0, -1.0]])
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         layer = L.DenseLayer(rng.normal(size=(3, 5)), rng.normal(size=3))
-        x = rng.normal(size=5)
-        g = rng.normal(size=3)
-        d_w, d_b, d_x = L.dense_backward(g, x, layer)
-        assert np.allclose(d_w, np.outer(g, x))
-        assert np.array_equal(d_b, g)
-        assert np.allclose(d_x, layer.weights.T @ g)
+        x = rng.normal(size=(2, 5))
+        g = rng.normal(size=(2, 3))
+        d_w, d_b, d_x = L.dense_backward_batch(g, x, layer)
+        assert np.allclose(d_w, np.outer(g[0], x[0]) + np.outer(g[1], x[1]))
+        assert np.array_equal(d_b, g[0] + g[1])
+        for b in range(2):
+            assert np.allclose(d_x[b], layer.weights.T @ g[b])
 
     def test_shape_error(self):
         layer = L.DenseLayer(np.zeros((2, 3)), np.zeros(2))
         with pytest.raises(L.ShapeError):
-            L.dense_forward(np.zeros(4), layer)
+            L.dense_forward_batch(np.zeros((1, 4)), layer)
+        with pytest.raises(L.ShapeError):
+            L.dense_forward_batch(np.zeros(3), layer)  # a vector, not a batch
 
 
 class TestActivationsAndLoss:
@@ -215,47 +231,18 @@ class TestBatchedKernels:
                 assert np.allclose(out[b], L.conv_forward(batch[b], layer),
                                    rtol=1e-12, atol=1e-12)
 
-    def test_pool_batch_matches_per_sample(self):
-        rng = np.random.default_rng(22)
-        for _ in range(20):
-            x, width, stride = random_pool_case(rng)
-            batch = np.stack([x, -x])
-            out, offset = L.maxpool_forward_batch(batch, width, stride)
-            argmax = offset + np.arange(out.shape[2]) * stride
-            for b in range(2):
-                ref, record = L.maxpool_forward(batch[b], width, stride)
-                assert np.array_equal(out[b], ref)
-                assert np.array_equal(argmax[b], record.argmax)
-
-    def test_dense_batch_matches_per_sample(self):
-        rng = np.random.default_rng(23)
-        layer = L.DenseLayer(rng.normal(size=(4, 6)), rng.normal(size=4))
-        x = rng.normal(size=(3, 6))
-        out = L.dense_forward_batch(x, layer)
-        for b in range(3):
-            assert np.allclose(out[b], L.dense_forward(x[b], layer), rtol=1e-12)
-
     def test_conv_backward_batch_matches_per_sample(self):
         rng = np.random.default_rng(24)
         x, layer = random_conv_case(rng)
-        batch = x[None, :, :]
+        batch = np.stack([x, x * 0.5 + 1.0])
         out, cols = L.conv_forward_batch(batch, layer)
         g = rng.normal(size=out.shape)
         d_w, d_b, d_x = L.conv_backward_batch(g, cols, layer, batch.shape)
-        r_w, r_b, r_x = L.conv_backward(g[0], x, layer)
-        assert np.allclose(d_w, r_w, rtol=1e-12, atol=1e-12)
-        assert np.allclose(d_b, r_b, rtol=1e-12, atol=1e-12)
-        assert np.allclose(d_x[0], r_x, rtol=1e-12, atol=1e-12)
-
-    def test_pool_backward_batch_matches_per_sample(self):
-        rng = np.random.default_rng(25)
-        x, width, stride = random_pool_case(rng)
-        batch = x[None, :, :]
-        out, offset = L.maxpool_forward_batch(batch, width, stride)
-        g = rng.normal(size=out.shape)
-        d_x = L.maxpool_backward_batch(g, offset, x.shape[1], width, stride)
-        _, record = L.maxpool_forward(x, width, stride)
-        assert np.array_equal(d_x[0], L.maxpool_backward(g[0], record))
+        refs = [window_conv_backward(g[b], batch[b], layer.weights) for b in range(2)]
+        assert np.allclose(d_w, refs[0][0] + refs[1][0], rtol=1e-12, atol=1e-12)
+        assert np.allclose(d_b, refs[0][1] + refs[1][1], rtol=1e-12, atol=1e-12)
+        for b in range(2):
+            assert np.allclose(d_x[b], refs[b][2], rtol=1e-12, atol=1e-12)
 
     def test_pool_kernel_bytes_match_loop_and_add_at(self):
         """Forward against the naive loop, backward against np.add.at, by
@@ -273,7 +260,7 @@ class TestBatchedKernels:
                     if trial % 4 == 0:
                         x[rng.random(x.shape) < 0.15] = np.nan
                     out, offset = L.maxpool_forward_batch(x, width, stride)
-                    argmax = offset + np.arange(out.shape[2]) * stride
+                    argmax = pool_argmax(offset, stride)
                     for i in range(b):
                         ref, ref_arg = naive_maxpool(x[i], width, stride)
                         assert out[i].tobytes() == ref.tobytes()

@@ -19,6 +19,7 @@ from .datafile import DatasetFileError, read_dataset, write_dataset
 from .evaluation import evaluate, render_report, reports_to_csv
 from .fileio import write_atomic
 from .gradcheck import find_check_point, grad_check
+from .layers import ShapeError
 from .models import (
     CheckpointError,
     CnnSpec,
@@ -200,10 +201,7 @@ def cmd_eval(args) -> int:
     for ckpt_path in args.ckpt:
         ckpt = load_checkpoint(ckpt_path)
         model = restore_for_transfer(ckpt, ckpt.spec)
-        reports.append(
-            evaluate(model, dataset, threshold=args.threshold, name=Path(ckpt_path).stem,
-                     dataset_id=str(args.data), model_fingerprint=ckpt.fingerprint.hex())
-        )
+        reports.append(evaluate(model, dataset, args.threshold, Path(ckpt_path).stem))
     table = render_report(*reports)
     print(table, end="")
     if args.out:
@@ -342,13 +340,14 @@ def main(argv=None) -> int:
         return args.func(args)
     except CliError as exc:
         code, message = exc.code, str(exc)
-    except ConfigError as exc:
+    except (ConfigError, ShapeError) as exc:  # ShapeError: windows of another length
         code, message = EXIT_CONFIG, str(exc)
     except DivergenceError as exc:
         code, message = EXIT_DIVERGENCE, f"training diverged: {exc}"
     except FingerprintMismatchError as exc:  # before CheckpointError, its base
         code, message = EXIT_FINGERPRINT, str(exc)
-    except (CheckpointError, DatasetFileError, OSError) as exc:  # OSError: input or artifact I/O
+    # OSError: input or artifact I/O; FloatingPointError: a model whose output is not finite
+    except (CheckpointError, DatasetFileError, OSError, FloatingPointError) as exc:
         code, message = EXIT_DATA, str(exc)
     print(f"error: {message}", file=sys.stderr)
     return code

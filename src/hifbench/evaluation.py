@@ -55,9 +55,6 @@ class ConfusionMatrix:
 class EvalReport:
     name: str
     matrix: ConfusionMatrix
-    threshold: float
-    dataset_id: str = ""
-    model_fingerprint: str = ""
 
     @property
     def accuracy(self) -> float:
@@ -76,12 +73,7 @@ def confusion_from_predictions(y_true: np.ndarray, y_pred: np.ndarray) -> Confus
 
 
 def evaluate(
-    model: Model,
-    test_dataset: Dataset,
-    threshold: float = DEFAULT_THRESHOLD,
-    name: str = "model",
-    dataset_id: str = "",
-    model_fingerprint: str = "",
+    model: Model, test_dataset: Dataset, threshold: float = DEFAULT_THRESHOLD, name: str = "model"
 ) -> EvalReport:
     """Confusion matrix of the model on the dataset: a window is predicted
     HIF iff its probability strictly exceeds the threshold."""
@@ -90,7 +82,7 @@ def evaluate(
     x, y = test_dataset.to_arrays()
     probs = forward_batch(model, x)
     matrix = confusion_from_predictions(y > 0.5, probs > threshold)
-    return EvalReport(name, matrix, threshold, dataset_id, model_fingerprint)
+    return EvalReport(name, matrix)
 
 
 def format_accuracy(accuracy: float) -> str:

@@ -28,6 +28,7 @@ from .models import Model, batch_loss_and_grads, forward_batch, run_stage, run_s
 FD_EPSILON = 1e-5
 REL_DENOM_FLOOR = 1e-8
 MIN_KINK_MARGIN = 3e-4
+MAX_TRIES = 500  # input seeds find_check_point scans
 GROUP_BYTES = 1 << 19  # stacked stage outputs replayed per call, about 0.5 MB
 
 
@@ -59,30 +60,23 @@ def kink_margin(model: Model, x: np.ndarray) -> float:
     return margin
 
 
-def find_check_point(
-    model: Model,
-    labels: np.ndarray | None = None,
-    seed: int = 0,
-    min_margin: float = MIN_KINK_MARGIN,
-    max_tries: int = 500,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Random (x, y) whose kink margin supports an eps=1e-5 probe."""
-    if labels is None:
-        labels = np.array([1.0, 0.0])
+def find_check_point(model: Model, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Random two-window (x, y = [1, 0]) whose kink margin supports an FD_EPSILON probe."""
+    labels = np.array([1.0, 0.0])
     best_x, best_margin = None, -np.inf
-    for trial in range(max_tries):
+    for trial in range(MAX_TRIES):
         rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
         x = rng.normal(size=(labels.size, model.spec.input_length))
         m = kink_margin(model, x)
-        if m >= min_margin:
+        if m >= MIN_KINK_MARGIN:
             return x, labels
         if m > best_margin:
             best_x, best_margin = x, m
     return best_x, labels
 
 
-def numeric_gradients(model: Model, x: np.ndarray, y: np.ndarray,
-                      epsilon: float = FD_EPSILON) -> list[tuple[np.ndarray, np.ndarray]]:
+def numeric_gradients(model: Model, x: np.ndarray,
+                      y: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Central-difference (d_weights, d_bias) of the mean BCE at (x, y),
     aligned with model.layer_list."""
     probe = model.copy()  # contiguous arrays, so the column views below write through
@@ -91,14 +85,14 @@ def numeric_gradients(model: Model, x: np.ndarray, y: np.ndarray,
     for stage, (layer, h) in enumerate(zip(probe.layer_list, stage_in)):
         base = run_stage(probe, stage, h)[0]  # (B, O * length)
         n_out = layer.bias.size
-        rows = np.arange(2 * n_out)  # a column's probes, +epsilon then -epsilon
+        rows = np.arange(2 * n_out)  # a column's probes, +FD_EPSILON then -FD_EPSILON
         chunks = np.array_split(rows, -(-rows.size // max(1, GROUP_BYTES // base.nbytes)))
         weight_cols = layer.weights.reshape(n_out, -1)
         numeric = np.empty((n_out, weight_cols.shape[1] + 1))
         for j, col in enumerate([*weight_cols.T, layer.bias]):
             orig = col.copy()
             col_out = []
-            for step in (epsilon, -epsilon):
+            for step in (FD_EPSILON, -FD_EPSILON):
                 col[...] = orig + step
                 col_out.append(run_stage(probe, stage, h)[0])
             col[...] = orig
@@ -111,12 +105,12 @@ def numeric_gradients(model: Model, x: np.ndarray, y: np.ndarray,
                 units[np.arange(chunk.size), :, u] = col_out[chunk // n_out, :, u]
                 logits = run_stages(probe, stack, stage + 1)
                 losses[chunk] = L.bce_loss(L.sigmoid(logits[..., 0]), y)
-            numeric[:, j] = (losses[:n_out] - losses[n_out:]) / (2.0 * epsilon)
+            numeric[:, j] = (losses[:n_out] - losses[n_out:]) / (2.0 * FD_EPSILON)
         grads.append((numeric[:, :-1].reshape(layer.weights.shape), numeric[:, -1]))
     return grads
 
 
-def grad_check(model: Model, x: np.ndarray, y: np.ndarray, epsilon: float = FD_EPSILON) -> float:
+def grad_check(model: Model, x: np.ndarray, y: np.ndarray) -> float:
     """Worst relative error between analytic and central-difference gradients
     over every parameter; inf when any gradient or error is not finite."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -124,7 +118,7 @@ def grad_check(model: Model, x: np.ndarray, y: np.ndarray, epsilon: float = FD_E
     loss, grads, _ = batch_loss_and_grads(model, x, y)
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss at the evaluation point")
-    numeric = numeric_gradients(model, x, y, epsilon)
+    numeric = numeric_gradients(model, x, y)
     # one output unit at a time: temporaries the size of a whole layer raised
     # the process's peak memory
     worst = np.max([relative_error(a, n).max() for pair_a, pair_n in zip(grads, numeric)

@@ -66,10 +66,6 @@ class DenseLayer:
     def in_dim(self) -> int:
         return self.weights.shape[1]
 
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
-
 
 def conv_output_length(length: int, kernel_size: int) -> int:
     return length - kernel_size + 1

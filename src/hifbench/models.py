@@ -7,6 +7,7 @@ A network is a list of stages, one per entry of layer_list: a conv block
 output layer).  run_stage and stage_backward are the only forward and
 backward code: training, its frozen-feature store and the gradient checks
 all loop over them, starting at any stage k from that stage's input.
+Backward stops at the stage its forward pass started from.
 Features enter conv blocks T-major (a free view of channels-last activations)
 and the dense head C-major.
 """
@@ -160,7 +161,6 @@ def fingerprint(spec) -> bytes:
 class Model:
     spec: "CnnSpec | MlpSpec"
     layer_list: list
-    init_seed: int
 
     def pool(self, i: int) -> tuple[int, int] | None:
         """(width, stride) of stage i's max pool; None for a dense stage or past the last."""
@@ -202,7 +202,7 @@ class Model:
     def copy(self) -> "Model":
         layer_list = [replace(l, weights=l.weights.copy(), bias=l.bias.copy())
                       for l in self.layer_list]
-        return Model(self.spec, layer_list, self.init_seed)
+        return Model(self.spec, layer_list)
 
 
 def _layer_shapes(spec) -> list[tuple[type, tuple[int, ...]]]:
@@ -230,7 +230,7 @@ def build_model(spec, init_seed: int) -> Model:
         fan_in = math.prod(shape[1:])
         w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
         layer_list.append(cls(w, np.zeros(shape[0])))
-    return Model(spec, layer_list, init_seed)
+    return Model(spec, layer_list)
 
 
 def standardize(x: np.ndarray) -> np.ndarray:
@@ -334,32 +334,27 @@ def forward(model: Model, window: np.ndarray) -> float:
     return float(forward_batch(model, np.asarray(window)[None, :])[0])
 
 
-def backward_batch(
-    model: Model, caches: list, probs: np.ndarray, y: np.ndarray, first_layer: int = 0
-) -> list:
+def backward_batch(model: Model, caches: list, probs: np.ndarray, y: np.ndarray) -> list:
     """Mean-BCE gradients, aligned with model.layer_list.
 
-    Backpropagation stops at stage first_layer: the layers below it get None,
-    and a conv block there skips its input gradient, which nothing reads.  A
-    forward pass that started at stage k supports only a first_layer >= k.
+    Backpropagation stops at the stage k the caches' forward pass started
+    from: the layers below it get None, and stage k skips its input
+    gradient, which nothing reads.
     """
     n = len(model.layer_list)
     start = n - len(caches)
-    if first_layer < start:
-        raise ValueError(f"backward to stage {first_layer} needs a forward pass from there, "
-                         f"not from stage {start}")
     grads: list = [None] * n
     grad = L.sigmoid_bce_backward(probs, y)[:, None]
-    for i in range(n - 1, first_layer - 1, -1):
-        grads[i], grad = stage_backward(model, i, grad, caches[i - start], i > first_layer)
+    for i in range(n - 1, start - 1, -1):
+        grads[i], grad = stage_backward(model, i, grad, caches[i - start], i > start)
     return grads
 
 
-def batch_loss_and_grads(model: Model, x: np.ndarray, y: np.ndarray, first_layer: int = 0,
-                         start: int = 0):
+def batch_loss_and_grads(model: Model, x: np.ndarray, y: np.ndarray, start: int = 0):
+    """(loss, grads, probs) of one step on x, the input of stage start."""
     probs, caches = forward_batch(model, x, want_cache=True, start=start)
     loss = L.bce_loss(probs, y)
-    grads = backward_batch(model, caches, probs, y, first_layer)
+    grads = backward_batch(model, caches, probs, y)
     return loss, grads, probs
 
 
@@ -370,7 +365,6 @@ def batch_loss_and_grads(model: Model, x: np.ndarray, y: np.ndarray, first_layer
 
 @dataclass
 class Checkpoint:
-    format_version: int
     fingerprint: bytes
     params: np.ndarray
     metadata: dict = field(default_factory=dict)
@@ -395,7 +389,7 @@ def save_checkpoint(model: Model, metadata: dict, path) -> Checkpoint:
         + meta_blob
     )
     write_atomic(path, body + struct.pack("<I", zlib.crc32(body)))
-    return Checkpoint(CKPT_VERSION, fingerprint(model.spec), params, meta)
+    return Checkpoint(fingerprint(model.spec), params, meta)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -426,13 +420,16 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointCorruptError(f"{path}: metadata is not valid JSON") from exc
     if not isinstance(metadata, dict) or not isinstance(metadata.get("spec"), dict):
         raise CheckpointCorruptError(f"{path}: metadata carries no spec")
-    ckpt = Checkpoint(version, fp, params, metadata)
+    ckpt = Checkpoint(fp, params, metadata)
     try:
         spec = ckpt.spec
     except (ValueError, TypeError, KeyError, ArithmeticError) as exc:
         raise CheckpointCorruptError(f"{path}: malformed spec in metadata: {exc}") from exc
     if fingerprint(spec) != fp:
         raise FingerprintMismatchError(f"{path}: metadata spec does not match fingerprint")
+    needed = sum(math.prod(shape) + shape[0] for _, shape in _layer_shapes(spec))
+    if needed != count:  # before restore_for_transfer allocates the spec's layers
+        raise CheckpointCorruptError(f"{path}: spec needs {needed} parameters, file has {count}")
     return ckpt
 
 
@@ -442,6 +439,6 @@ def restore_for_transfer(ckpt: Checkpoint, target_spec) -> Model:
         raise FingerprintMismatchError("checkpoint fingerprint does not match the target spec")
     layer_list = [cls(np.empty(shape), np.empty(shape[0]))
                   for cls, shape in _layer_shapes(target_spec)]
-    model = Model(target_spec, layer_list, init_seed=int(ckpt.metadata.get("init_seed", 0)))
+    model = Model(target_spec, layer_list)
     model.set_flat_parameters(ckpt.params)
     return model

@@ -8,7 +8,8 @@ When the first k stages are frozen (freeze_conv, as in fine-tuning), each
 window's input to stage k stays the same for the whole run, so train()
 computes it once: the training windows in chunks of batch_size in index
 order, the validation windows in one call.  Every step and validation pass
-then runs only stages k..end.  With OpenBLAS, conv output for a window has
+then runs only stages k..end, and backward stops at stage k, where its
+forward started.  With OpenBLAS, conv output for a window has
 the same bytes in any batch of 2 or more windows, so the run equals one
 that recomputes the frozen stages for every batch, and validation, run
 models.CONV_CHUNK windows at a time, equals one pass.  A batch of one
@@ -123,15 +124,6 @@ def detect_convergence(records: list[EpochRecord]) -> int:
     return records[-1].epoch
 
 
-def _updatable_layers(model: Model, freeze_conv: bool) -> list[int]:
-    idx = []
-    for i, layer in enumerate(model.layer_list):
-        if freeze_conv and isinstance(layer, L.ConvLayer):
-            continue
-        idx.append(i)
-    return idx
-
-
 def train(model: Model, dataset: Dataset, config: TrainConfig) -> TrainingRun:
     """SGD with momentum over seeded shuffled mini-batches.
 
@@ -147,20 +139,16 @@ def train(model: Model, dataset: Dataset, config: TrainConfig) -> TrainingRun:
     n = len(y_train)
 
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5D]))
-    update_idx = _updatable_layers(work, config.freeze_conv)
-    # The frozen stages before the first trained one map each window to the
-    # same input of that stage all run long: compute it once, in chunks of
-    # batch_size, which bound memory and keep batch_size 1 bit-exact.
-    frozen = update_idx[0] if config.epochs > 0 else 0
-    if frozen:
+    # Conv stages lead layer_list.  The frozen ones map each window to the
+    # same input of the first trained stage all run long: compute it once, in
+    # chunks of batch_size, which bound memory and keep batch_size 1 bit-exact.
+    frozen = sum(isinstance(l, L.ConvLayer) for l in work.layer_list) if config.freeze_conv else 0
+    if frozen and config.epochs > 0:
         bs = config.batch_size
         x_train = np.concatenate([run_stages(work, x_train[lo : lo + bs], stop=frozen)
                                   for lo in range(0, n, bs)])
         x_val = run_stages(work, x_val, stop=frozen)
-    velocity = {
-        i: (np.zeros_like(work.layer_list[i].weights), np.zeros_like(work.layer_list[i].bias))
-        for i in update_idx
-    }
+    velocity = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in work.layer_list[frozen:]]
 
     records: list[EpochRecord] = []
     best_val = np.inf
@@ -173,17 +161,14 @@ def train(model: Model, dataset: Dataset, config: TrainConfig) -> TrainingRun:
         for bi, lo in enumerate(range(0, n, config.batch_size)):
             sel = order[lo : lo + config.batch_size]
             try:
-                loss, grads, _ = batch_loss_and_grads(work, x_train[sel], y_train[sel],
-                                                      frozen, start=frozen)
+                loss, grads, _ = batch_loss_and_grads(work, x_train[sel], y_train[sel], frozen)
             except FloatingPointError as exc:
                 raise DivergenceError(epoch, bi) from exc
             if not np.isfinite(loss):
                 raise DivergenceError(epoch, bi)
             loss_sum += loss * sel.size
-            for i in update_idx:
-                layer = work.layer_list[i]
-                v_w, v_b = velocity[i]
-                d_w, d_b = grads[i]
+            for layer, (v_w, v_b), (d_w, d_b) in zip(work.layer_list[frozen:], velocity,
+                                                     grads[frozen:]):
                 v_w *= config.momentum
                 v_w -= config.learning_rate * d_w
                 v_b *= config.momentum

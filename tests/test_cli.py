@@ -1,12 +1,18 @@
 import json
+import struct
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hifbench import cli
 from hifbench.datafile import read_dataset, write_dataset
-from hifbench.models import build_model, save_checkpoint
+from hifbench.models import MlpSpec, build_model, save_checkpoint
 
 from test_models import TINY_MLP
+
+SMALL_MLP = MlpSpec(hidden_dims=(8, 8, 4), input_length=300)
 
 
 def run_cli(*argv) -> int:
@@ -237,6 +243,90 @@ class TestFinetune:
             out = src if argv[0] == "train" else tmp_path / "ft.ckpt"
             assert run_cli(*argv, "--out", out) == cli.EXIT_OK
             assert len(calls) == 1, argv
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("init_seed", ["x", None, [1]], ids=["str", "null", "list"])
+    def test_init_seed_metadata_is_not_parsed(self, dataset_file, tmp_path, init_seed):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(SMALL_MLP, 0), {"init_seed": init_seed}, ckpt)
+        assert run_cli("eval", "--ckpt", ckpt, "--data", dataset_file) == cli.EXIT_OK
+        assert run_cli("finetune", "--ckpt", ckpt, "--data", dataset_file,
+                       "--out", tmp_path / "ft.ckpt", "--epochs", 1) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("command", ["train", "finetune", "eval"])
+    def test_window_length_mismatch_is_config_error(self, dataset_file, tmp_path, capsys,
+                                                    command):
+        spec, ckpt = tmp_path / "spec.json", tmp_path / "m.ckpt"
+        spec.write_text(json.dumps(TINY_MLP.to_dict()))  # 20-sample windows
+        save_checkpoint(build_model(TINY_MLP, 0), {}, ckpt)
+        argv = {"train": ["train", "--model", spec, "--out", tmp_path / "x.ckpt", "--epochs", 1],
+                "finetune": ["finetune", "--ckpt", ckpt, "--out", tmp_path / "x.ckpt",
+                             "--epochs", 1],
+                "eval": ["eval", "--ckpt", ckpt]}[command]
+        assert run_cli(*argv, "--data", dataset_file) == cli.EXIT_CONFIG
+        assert "error: windows must have 20 samples" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("poison", ["nan_bias", "huge_weights"])
+    def test_non_finite_model_output_is_data_error(self, dataset_file, tmp_path, capsys,
+                                                   poison):
+        model = build_model(SMALL_MLP, 0)
+        if poison == "nan_bias":
+            model.layer_list[-1].bias[0] = float("nan")
+        else:
+            model.layer_list[0].weights[...] = 1e308
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(model, {}, ckpt)
+        assert run_cli("eval", "--ckpt", ckpt, "--data", dataset_file) == cli.EXIT_DATA
+        assert "error: non-finite activation in forward pass" in capsys.readouterr().err
+        # training reports the same fault as divergence at its first batch
+        assert run_cli("finetune", "--ckpt", ckpt, "--data", dataset_file,
+                       "--out", tmp_path / "x.ckpt", "--epochs", 1) == cli.EXIT_DIVERGENCE
+
+    def test_parameter_count_is_checked_before_allocating(self, dataset_file, tmp_path,
+                                                          capsys):
+        from hifbench.models import CKPT_MAGIC, fingerprint, spec_from_dict
+        from hifbench.profiles import CNN_SPEC
+        from test_models import rewrite_metadata
+
+        # a forged spec with a matching fingerprint and CRC: 3.41 PiB of dense weights
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(CNN_SPEC, 0), {}, ckpt)
+        spec = {**CNN_SPEC.to_dict(), "hidden_dim": 10**12}
+        blob = bytearray(ckpt.read_bytes())
+        off = len(CKPT_MAGIC) + 4
+        blob[off:off + 32] = fingerprint(spec_from_dict(spec))
+        ckpt.write_bytes(bytes(blob))
+        rewrite_metadata(ckpt, json.dumps({"spec": spec}).encode())
+        for argv in (["eval"], ["finetune", "--out", tmp_path / "x.ckpt", "--epochs", 1]):
+            assert run_cli(*argv, "--ckpt", ckpt, "--data", dataset_file) == cli.EXIT_DATA
+            assert "parameters, file has 37265" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def small_ckpt(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "small.ckpt"
+    save_checkpoint(build_model(SMALL_MLP, 0), {"init_seed": 0}, path)
+    return path
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("target", ["ckpt", "data"])
+@settings(max_examples=100, deadline=None)
+@given(draw=st.data())
+def test_eval_exits_cleanly_after_any_flipped_byte(dataset_file, small_ckpt, target, draw):
+    """One byte of the checkpoint or the 40-window dataset changed, under a
+    valid CRC: eval scores it or names the fault by its exit code."""
+    paths = {"ckpt": small_ckpt, "data": dataset_file}
+    blob = bytearray(paths[target].read_bytes())
+    pos = draw.draw(st.integers(0, len(blob) - 5), label="position")  # the CRC is rewritten
+    blob[pos] ^= draw.draw(st.integers(1, 255), label="xor")
+    body = bytes(blob[:-4])
+    paths[target] = paths[target].with_name("flipped-" + paths[target].name)
+    paths[target].write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    code = run_cli("eval", "--ckpt", paths["ckpt"], "--data", paths["data"])
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_FINGERPRINT)
 
 
 class TestGradcheckCommand:

@@ -81,8 +81,8 @@ class TestRendering:
         assert format_accuracy(ConfusionMatrix(55, 15, 26, 66).accuracy) == "74.69 %"
 
     def test_render_report_table(self):
-        a = EvalReport("cnn", ConfusionMatrix(8, 1, 2, 9), 0.5)
-        b = EvalReport("mlp", ConfusionMatrix(7, 3, 3, 7), 0.5)
+        a = EvalReport("cnn", ConfusionMatrix(8, 1, 2, 9))
+        b = EvalReport("mlp", ConfusionMatrix(7, 3, 3, 7))
         table = render_report(a, b)
         lines = table.strip().split("\n")
         assert len(lines) == 6
@@ -96,7 +96,7 @@ class TestRendering:
             render_report()
 
     def test_reports_to_csv(self, tmp_path):
-        r = EvalReport("cnn", ConfusionMatrix(8, 1, 2, 9), 0.5)
+        r = EvalReport("cnn", ConfusionMatrix(8, 1, 2, 9))
         path = tmp_path / "report.csv"
         text = reports_to_csv([r], path)
         assert path.read_text() == text

@@ -24,7 +24,7 @@ WRITERS = {
     "m.ckpt": lambda dataset, path: save_checkpoint(build_model(TINY_MLP, 1), {}, path),
     "m.curves.csv": _curves,
     "report.csv": lambda dataset, path: reports_to_csv(
-        [EvalReport("m", ConfusionMatrix(1, 2, 3, 4), 0.5)], path),
+        [EvalReport("m", ConfusionMatrix(1, 2, 3, 4))], path),
     "m.ckpt.manifest.json": lambda dataset, path: cli._write_manifest(
         path.parent / "m.ckpt", "gen", {}, {}, {}),
 }

@@ -101,8 +101,9 @@ class TestConvOracle:
 
 class TestConvBackward:
     def test_matches_finite_differences(self):
-        rng = np.random.default_rng(5)
+        rng = np.random.default_rng(7)
         x, layer = random_conv_case(rng)
+        assert layer.kernel_size > 1  # else col2im adds one slab at one offset
         x = np.stack([x, rng.normal(size=x.shape)])
         out, cols = L.conv_forward_batch(x, layer)
         g = rng.normal(size=out.shape)

@@ -18,7 +18,6 @@ from hifbench.models import (
     FingerprintMismatchError,
     MlpSpec,
     SpecError,
-    backward_batch,
     batch_loss_and_grads,
     build_model,
     fingerprint,
@@ -141,36 +140,28 @@ class TestBuildAndForward:
     def test_copy_is_exact_and_independent(self):
         model = build_model(TINY_CNN, 5)
         clone = model.copy()
-        assert clone.init_seed == 5 and clone.spec == model.spec
+        assert clone.spec == model.spec
         assert clone.flat_parameters().tobytes() == model.flat_parameters().tobytes()
         clone.layer_list[0].weights += 1.0
         clone.layer_list[-1].bias += 1.0
         assert model.flat_parameters().tobytes() == build_model(TINY_CNN, 5).flat_parameters().tobytes()
 
 
-class TestBackwardStart:
-    def test_partial_backward_matches_full(self):
-        rng = np.random.default_rng(3)
-        for spec in (TINY_CNN, TINY_MLP):
-            model = build_model(spec, 2)
-            x = rng.normal(size=(5, spec.input_length))
-            y = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
-            probs, cache = forward_batch(model, x, want_cache=True)
-            full = backward_batch(model, cache, probs, y)
-            for k in range(len(model.layer_list)):
-                part = backward_batch(model, cache, probs, y, first_layer=k)
-                assert all(g is None for g in part[:k])
-                for (f_w, f_b), (p_w, p_b) in zip(full[k:], part[k:]):
-                    assert f_w.tobytes() == p_w.tobytes()
-                    assert f_b.tobytes() == p_b.tobytes()
+def stored_features(spec, start):
+    """(model, stage start's input for 3 random windows, their labels)."""
+    model = build_model(spec, 1)
+    x = np.random.default_rng(1).normal(size=(3, spec.input_length))
+    return model, run_stages(model, x, stop=start), np.array([1.0, 0.0, 1.0])
 
-    @pytest.mark.parametrize("spec, first_layer, want", [
+
+class TestBackwardStart:
+    @pytest.mark.parametrize("spec, start, want", [
         (TINY_MLP, 0, [False, False, False, True]),
         (TINY_MLP, 2, [False, True]),
         (TINY_CNN, 4, [False, True]),
     ], ids=["mlp", "mlp_from_stage_2", "cnn_frozen_conv"])
     def test_first_trained_dense_layer_skips_its_input_gradient(self, monkeypatch, spec,
-                                                                first_layer, want):
+                                                                start, want):
         skipped = []
         real = L.dense_backward_batch
 
@@ -179,15 +170,15 @@ class TestBackwardStart:
             skipped.append(out[2] is None)
             return out
 
+        model, h, y = stored_features(spec, start)
         monkeypatch.setattr(L, "dense_backward_batch", recording)
-        model = build_model(spec, 1)
-        x = np.random.default_rng(1).normal(size=(3, spec.input_length))
-        batch_loss_and_grads(model, x, np.array([1.0, 0.0, 1.0]), first_layer)
+        batch_loss_and_grads(model, h, y, start)
         assert skipped == want
 
 
 def assert_same_step(want, got, start):
-    """(loss, grads, probs) of two steps have the same bytes; grads below start are None."""
+    """Steps (loss, grads, probs) from stage 0 (want) and from stage start (got)
+    have the same bytes, on grads[start:]; got's grads below start are None."""
     (loss, grads, probs), (s_loss, s_grads, s_probs) = want, got
     assert np.float64(s_loss).tobytes() == np.float64(loss).tobytes()
     assert s_probs.tobytes() == probs.tobytes()
@@ -205,34 +196,25 @@ class TestStoredFeatures:
         head = len(CNN_SPEC.blocks)
         stored = run_stages(model, x, stop=head)  # one pass over all 60 windows
         sel = np.random.default_rng(batch).permutation(len(y))[:batch]
-        want = batch_loss_and_grads(model, x[sel], y[sel], head)
-        got = batch_loss_and_grads(model, stored[sel], y[sel], head, start=head)
+        want = batch_loss_and_grads(model, x[sel], y[sel])
+        got = batch_loss_and_grads(model, stored[sel], y[sel], head)
         assert_same_step(want, got, head)
 
-    @pytest.mark.parametrize("spec", [TINY_CNN, TINY_MLP], ids=["tiny_cnn", "tiny_mlp"])
+    @pytest.mark.parametrize("spec", [TINY_CNN, TINY_MLP, CNN_SPEC],
+                             ids=["tiny_cnn", "tiny_mlp", "cnn"])
     def test_every_start_stage_is_bytes_equal(self, spec):
         model = build_model(spec, 2)
         rng = np.random.default_rng(5)
         x = rng.normal(size=(12, spec.input_length))
         y = (rng.random(12) < 0.5).astype(np.float64)
         sel = rng.permutation(12)[:7]
+        want = batch_loss_and_grads(model, x[sel], y[sel])
         for k in range(len(model.layer_list)):
             stored = run_stages(model, x, stop=k)
-            want = batch_loss_and_grads(model, x[sel], y[sel], k)
-            got = batch_loss_and_grads(model, stored[sel], y[sel], k, start=k)
+            got = batch_loss_and_grads(model, stored[sel], y[sel], k)
             assert_same_step(want, got, k)
             probs = forward_batch(model, stored, start=k)
             assert probs.tobytes() == forward_batch(model, x).tobytes()
-            if k:
-                with pytest.raises(ValueError, match="needs a forward pass from there"):
-                    batch_loss_and_grads(model, stored[sel], y[sel], k - 1, start=k)
-
-    def test_conv_gradients_need_raw_windows(self):
-        model = build_model(TINY_CNN, 2)
-        features = run_stages(model, np.random.default_rng(0).normal(size=(3, 60)), stop=4)
-        y = np.array([1.0, 0.0, 1.0])
-        with pytest.raises(ValueError, match="needs a forward pass from there"):
-            batch_loss_and_grads(model, features, y, first_layer=0, start=4)
 
 
 def contiguous_conv_forward(x, layer):
@@ -352,25 +334,24 @@ def _counting(calls, name, real):
 
 
 class TestKernelCalls:
-    @pytest.mark.parametrize("spec, first_layer, want", [
+    @pytest.mark.parametrize("spec, start, want", [
         (TINY_CNN, 0, dict(conv_forward_batch=4, maxpool_forward_batch=4, relu_forward=5,
                            dense_forward_batch=2, dense_backward_batch=2, relu_backward=5,
                            maxpool_backward_batch=4, conv_backward_batch=4)),
-        (TINY_CNN, 4, dict(conv_forward_batch=4, maxpool_forward_batch=4, relu_forward=5,
-                           dense_forward_batch=2, dense_backward_batch=2, relu_backward=1)),
+        (TINY_CNN, 4, dict(relu_forward=1, dense_forward_batch=2, dense_backward_batch=2,
+                           relu_backward=1)),
         (TINY_MLP, 0, dict(relu_forward=3, dense_forward_batch=4, dense_backward_batch=4,
                            relu_backward=3)),
-        (TINY_MLP, 2, dict(relu_forward=3, dense_forward_batch=4, dense_backward_batch=2,
+        (TINY_MLP, 2, dict(relu_forward=1, dense_forward_batch=2, dense_backward_batch=2,
                            relu_backward=1)),
     ], ids=["cnn", "cnn_frozen_conv", "mlp", "mlp_from_stage_2"])
     def test_one_step_calls_each_kernel_as_often_as_its_stages(self, monkeypatch, spec,
-                                                               first_layer, want):
+                                                               start, want):
+        model, h, y = stored_features(spec, start)
         calls = collections.Counter()
         for name in KERNELS:
             monkeypatch.setattr(L, name, _counting(calls, name, getattr(L, name)))
-        model = build_model(spec, 1)
-        x = np.random.default_rng(1).normal(size=(3, spec.input_length))
-        batch_loss_and_grads(model, x, np.array([1.0, 0.0, 1.0]), first_layer)
+        batch_loss_and_grads(model, h, y, start)
         assert dict(calls) == want
 
 
@@ -401,7 +382,6 @@ class TestCheckpoints:
             ckpt = load_checkpoint(path)
             restored = restore_for_transfer(ckpt, spec)
             assert restored.flat_parameters().tobytes() == model.flat_parameters().tobytes()
-            assert restored.init_seed == 9
             restored.layer_list[0].weights += 1.0  # the model owns its arrays
             assert ckpt.params.tobytes() == model.flat_parameters().tobytes()
 

@@ -5,13 +5,19 @@ Layout (all little-endian):
              count u64 | window_length u32 | scenario_id u8 | master_seed u64
     record:  label u8 | scenario_id u8 | generation_seed u64 | samples f64[window_length]
     footer:  crc32 u32 over everything preceding it
+
+Records are packed, 10 + 8 * window_length bytes each, and both directions move
+them CHUNK_WINDOWS at a time through one structured array, updating the CRC per
+chunk.  Writing therefore holds one chunk beyond the dataset itself, and reading
+holds one chunk beyond the (count, window_length) sample block that the
+returned windows are row views of; neither ever holds the whole file.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
-from pathlib import Path
 
 import numpy as np
 
@@ -20,9 +26,11 @@ from .waveforms import SCENARIOS, Dataset, Label, SystemId, Window
 
 MAGIC = b"HIFDATA\x01"
 FORMAT_VERSION = 1
+CHUNK_WINDOWS = 128  # records per read or write: ~300 kB at 300 samples
 
 _HEADER = struct.Struct("<8sIIQIBQ")
 _RECORD_HEAD = struct.Struct("<BBQ")
+_CRC = struct.Struct("<I")
 
 
 class DatasetFileError(Exception):
@@ -46,6 +54,35 @@ class DatasetFieldError(DatasetFileError):
 
 
 _SCENARIO_BY_ID = {s.system_id: s for s in SCENARIOS.values()}
+_LABEL_VALUES = [int(v) for v in Label]
+_SYSTEM_ID_VALUES = [int(v) for v in SystemId]
+
+
+def _record_dtype(window_length: int) -> np.dtype:
+    """The packed on-disk record as one structured dtype."""
+    return np.dtype([("label", "u1"), ("scenario_id", "u1"), ("seed", "<u8"),
+                     ("samples", "<f8", (window_length,))])
+
+
+def _encode(header: bytes, windows: list[Window], window_length: int):
+    """Yield the file as header, record chunks and CRC footer.  The chunk buffer
+    is reused, so each chunk must be consumed before the next is drawn."""
+    crc = zlib.crc32(header)
+    yield header
+    chunk = np.empty(min(len(windows), CHUNK_WINDOWS), _record_dtype(window_length))
+    for start in range(0, len(windows), CHUNK_WINDOWS):
+        part = windows[start : start + CHUNK_WINDOWS]
+        records = chunk[: len(part)]
+        records["label"] = [int(w.label) for w in part]
+        records["scenario_id"] = [int(w.scenario_id) for w in part]
+        records["seed"] = [w.generation_seed for w in part]
+        samples = records["samples"]
+        for i, w in enumerate(part):
+            samples[i] = w.samples
+        data = records.view(np.uint8)
+        crc = zlib.crc32(data, crc)
+        yield data
+    yield _CRC.pack(crc)
 
 
 def write_dataset(d: Dataset, path) -> None:
@@ -53,67 +90,89 @@ def write_dataset(d: Dataset, path) -> None:
         window_length = len(d.windows[0].samples)
     else:
         window_length = d.scenario.window_length
-    parts = [
-        _HEADER.pack(
-            MAGIC,
-            FORMAT_VERSION,
-            d.generator_version,
-            len(d.windows),
-            window_length,
-            int(d.scenario.system_id),
-            d.master_seed & 0xFFFFFFFFFFFFFFFF,
-        )
-    ]
-    for w in d.windows:
-        if len(w.samples) != window_length:
-            raise DatasetFileError("all windows in a file must share one length")
-        parts.append(_RECORD_HEAD.pack(int(w.label), int(w.scenario_id), w.generation_seed))
-        parts.append(np.ascontiguousarray(w.samples, dtype="<f8").tobytes())
-    body = b"".join(parts)
-    blob = body + struct.pack("<I", zlib.crc32(body))
-    write_atomic(path, blob)
+    if any(len(w.samples) != window_length for w in d.windows):
+        raise DatasetFileError("all windows in a file must share one length")
+    header = _HEADER.pack(
+        MAGIC,
+        FORMAT_VERSION,
+        d.generator_version,
+        len(d.windows),
+        window_length,
+        int(d.scenario.system_id),
+        d.master_seed & 0xFFFFFFFFFFFFFFFF,
+    )
+    write_atomic(path, _encode(header, d.windows, window_length))
+
+
+def _read_records(f, count: int, window_length: int, crc: int, path):
+    """Read count records from f, CHUNK_WINDOWS at a time through one buffer.
+
+    Returns the CRC continued over them, their heads, their samples as one
+    (count, window_length) block, and whether each block row is finite.
+    """
+    heads = np.empty(count, [("label", "u1"), ("scenario_id", "u1"), ("seed", "<u8")])
+    block = np.empty((count, window_length))
+    finite = np.empty(count, bool)
+    if count:  # with no records the size does not bound window_length, nor its dtype's size
+        chunk = np.empty(min(count, CHUNK_WINDOWS), _record_dtype(window_length))
+    for start in range(0, count, CHUNK_WINDOWS):
+        records = chunk[: min(CHUNK_WINDOWS, count - start)]
+        data = records.view(np.uint8)
+        if f.readinto(data) != data.size:
+            raise DatasetTruncatedError(f"{path}: file shrank while being read")
+        crc = zlib.crc32(data, crc)
+        rows = slice(start, start + len(records))
+        heads[rows] = records[["label", "scenario_id", "seed"]]
+        block[rows] = records["samples"]
+        finite[rows] = np.isfinite(block[rows]).all(axis=1)
+    return crc, heads, block, finite
 
 
 def read_dataset(path) -> Dataset:
-    blob = Path(path).read_bytes()
-    if len(blob) < _HEADER.size + 4:
-        raise DatasetTruncatedError(f"{path}: file too short for a dataset header")
-    magic, fmt, gen_version, count, window_length, scenario_id, master_seed = _HEADER.unpack_from(
-        blob, 0
-    )
-    if magic != MAGIC:
-        raise DatasetTruncatedError(f"{path}: bad magic, not a dataset file")
-    if fmt != FORMAT_VERSION:
-        raise DatasetVersionError(f"{path}: format version {fmt}, expected {FORMAT_VERSION}")
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        header = f.read(_HEADER.size)
+        if size < _HEADER.size + _CRC.size or len(header) < _HEADER.size:
+            raise DatasetTruncatedError(f"{path}: file too short for a dataset header")
+        magic, fmt, gen_version, count, window_length, scenario_id, master_seed = (
+            _HEADER.unpack(header))
+        if magic != MAGIC:
+            raise DatasetTruncatedError(f"{path}: bad magic, not a dataset file")
+        if fmt != FORMAT_VERSION:
+            raise DatasetVersionError(f"{path}: format version {fmt}, expected {FORMAT_VERSION}")
 
-    record_size = _RECORD_HEAD.size + 8 * window_length
-    expected = _HEADER.size + count * record_size + 4
-    if len(blob) != expected:
-        raise DatasetTruncatedError(
-            f"{path}: expected {expected} bytes for {count} windows, found {len(blob)}"
-        )
-    (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    if zlib.crc32(blob[:-4]) != stored_crc:
+        record_size = _RECORD_HEAD.size + 8 * window_length
+        expected = _HEADER.size + count * record_size + _CRC.size
+        if size != expected:
+            raise DatasetTruncatedError(
+                f"{path}: expected {expected} bytes for {count} windows, found {size}"
+            )
+
+        crc, heads, block, finite = _read_records(
+            f, count, window_length, zlib.crc32(header), path)
+        footer = f.read(_CRC.size)
+    if len(footer) != _CRC.size:
+        raise DatasetTruncatedError(f"{path}: file shrank while being read")
+    if crc != _CRC.unpack(footer)[0]:
         raise DatasetChecksumError(f"{path}: checksum mismatch")
     if scenario_id not in _SCENARIO_BY_ID:
         raise DatasetFieldError(f"{path}: unknown scenario id {scenario_id}")
 
-    windows = []
-    offset = _HEADER.size
-    for k in range(count):
-        label, w_scenario_id, gen_seed = _RECORD_HEAD.unpack_from(blob, offset)
-        offset += _RECORD_HEAD.size
-        try:
-            label, w_scenario_id = Label(label), SystemId(w_scenario_id)
-        except ValueError as exc:
+    # The first bad window names the error; within it, label and scenario before samples.
+    labels, scenario_ids = heads["label"], heads["scenario_id"]
+    known = np.isin(labels, _LABEL_VALUES) & np.isin(scenario_ids, _SYSTEM_ID_VALUES)
+    ok = known & finite
+    if not ok.all():
+        k = int(ok.argmin())
+        if not known[k]:
             raise DatasetFieldError(
-                f"{path}: window {k}: label {label} or scenario id {w_scenario_id} unknown"
-            ) from exc
-        samples = np.frombuffer(blob, dtype="<f8", count=window_length, offset=offset).copy()
-        offset += 8 * window_length
-        if not np.all(np.isfinite(samples)):
-            raise DatasetFieldError(f"{path}: window {k}: non-finite sample")
-        windows.append(Window(samples, label, w_scenario_id, gen_seed))
+                f"{path}: window {k}: label {labels[k]} or scenario id {scenario_ids[k]} unknown"
+            )
+        raise DatasetFieldError(f"{path}: window {k}: non-finite sample")
 
-    scenario = _SCENARIO_BY_ID[scenario_id]
-    return Dataset(windows, master_seed, scenario, gen_version)
+    windows = [
+        Window(row, Label(label), SystemId(w_scenario_id), seed)
+        for row, label, w_scenario_id, seed in zip(
+            block, labels.tolist(), scenario_ids.tolist(), heads["seed"].tolist())
+    ]
+    return Dataset(windows, master_seed, _SCENARIO_BY_ID[scenario_id], gen_version)

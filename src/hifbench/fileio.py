@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 from pathlib import Path
 
 
-def write_atomic(path, data: bytes | str) -> None:
-    """Write data (str as UTF-8) to path through a temporary file in the same
-    directory, renamed over path once complete.
+def write_atomic(path, data: bytes | str | Iterable) -> None:
+    """Write data (str as UTF-8, or an iterable of bytes-like chunks, each
+    written before the next is drawn) to path through a temporary file in the
+    same directory, renamed over path once complete.
 
     A reader, or a run interrupted mid-write, sees the previous file or the
     new one, never part of either.  The data is not fsynced, so this guards
@@ -18,10 +20,13 @@ def write_atomic(path, data: bytes | str) -> None:
     path = Path(path)
     if isinstance(data, str):
         data = data.encode("utf-8")
+    if isinstance(data, bytes):
+        data = (data,)
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
         with open(tmp, "xb") as f:
-            f.write(data)
+            for chunk in data:
+                f.write(chunk)
         os.replace(tmp, path)
     except OSError as exc:
         tmp.unlink(missing_ok=True)

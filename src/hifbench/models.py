@@ -19,7 +19,7 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +78,9 @@ class CnnSpec:
     def __post_init__(self):
         if len(self.blocks) != 4:
             raise SpecError("the CNN has exactly 4 conv blocks")
+        widths = [self.hidden_dim, *(v for blk in self.blocks for v in astuple(blk))]
+        if any(not isinstance(v, int) or v < 1 for v in widths):
+            raise SpecError("hidden_dim and every conv block field must be integers of at least 1")
         if self.output_dim != 1:
             raise SpecError("the output layer is a single sigmoid unit")
         self.feature_lengths()  # raises if the shape algebra collapses
@@ -136,19 +139,26 @@ class MlpSpec:
 
 
 def spec_from_dict(d: dict) -> "CnnSpec | MlpSpec":
+    if not isinstance(d, dict):
+        raise SpecError("a spec is a JSON object")
     kind = d.get("kind")
-    if kind == "cnn":
-        return CnnSpec(
-            blocks=tuple(ConvBlockSpec(*b) for b in d["blocks"]),
-            hidden_dim=int(d["hidden_dim"]),
-            output_dim=int(d.get("output_dim", 1)),
-            input_length=int(d.get("input_length", INPUT_LENGTH)),
-        )
-    if kind == "mlp":
-        return MlpSpec(
-            hidden_dims=tuple(int(h) for h in d["hidden_dims"]),
-            input_length=int(d.get("input_length", INPUT_LENGTH)),
-        )
+    try:
+        if kind == "cnn":
+            return CnnSpec(
+                blocks=tuple(ConvBlockSpec(*b) for b in d["blocks"]),
+                hidden_dim=int(d["hidden_dim"]),
+                output_dim=int(d.get("output_dim", 1)),
+                input_length=int(d.get("input_length", INPUT_LENGTH)),
+            )
+        if kind == "mlp":
+            return MlpSpec(
+                hidden_dims=tuple(int(h) for h in d["hidden_dims"]),
+                input_length=int(d.get("input_length", INPUT_LENGTH)),
+            )
+    except SpecError:
+        raise
+    except (TypeError, ValueError) as exc:  # a block of another arity, or a non-integer width
+        raise SpecError(f"malformed {kind} spec: {exc}") from exc
     raise SpecError(f"unknown spec kind: {kind!r}")
 
 
@@ -379,16 +389,16 @@ def save_checkpoint(model: Model, metadata: dict, path) -> Checkpoint:
     meta["spec"] = model.spec.to_dict()
     params = model.flat_parameters()
     meta_blob = json.dumps(meta, sort_keys=True).encode()
-    body = (
-        CKPT_MAGIC
-        + struct.pack("<I", CKPT_VERSION)
-        + fingerprint(model.spec)
-        + struct.pack("<Q", params.size)
-        + np.ascontiguousarray(params, dtype="<f8").tobytes()
-        + struct.pack("<I", len(meta_blob))
-        + meta_blob
-    )
-    write_atomic(path, body + struct.pack("<I", zlib.crc32(body)))
+    chunks = [
+        CKPT_MAGIC + struct.pack("<I", CKPT_VERSION) + fingerprint(model.spec)
+        + struct.pack("<Q", params.size),
+        np.ascontiguousarray(params, dtype="<f8"),
+        struct.pack("<I", len(meta_blob)) + meta_blob,
+    ]
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    write_atomic(path, [*chunks, struct.pack("<I", crc)])
     return Checkpoint(fingerprint(model.spec), params, meta)
 
 
@@ -412,7 +422,7 @@ def load_checkpoint(path) -> Checkpoint:
     if len(blob) != offset + meta_len + 4:
         raise CheckpointCorruptError(f"{path}: truncated metadata block")
     (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    if zlib.crc32(blob[:-4]) != stored_crc:
+    if zlib.crc32(memoryview(blob)[:-4]) != stored_crc:
         raise CheckpointCorruptError(f"{path}: checksum mismatch")
     try:
         metadata = json.loads(blob[offset : offset + meta_len].decode())

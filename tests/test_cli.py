@@ -175,6 +175,22 @@ class TestTrainEvalPipeline:
         assert run_cli("train", "--data", dataset_file, "--model", spec,
                        "--out", tmp_path / "m.ckpt") == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("change", [
+        {"hidden_dim": 0},
+        {"blocks": [[8, 7, 2, 0], [16, 5, 2, 2], [32, 5, 2, 2], [32, 3, 2, 2]]},
+        {"hidden_dim": "x"},
+        {"blocks": [[8, 7], [16, 5, 2, 2], [32, 5, 2, 2], [32, 3, 2, 2]]},
+    ], ids=["zero_hidden_dim", "zero_pool_stride", "string_hidden_dim", "short_block"])
+    def test_malformed_cnn_spec_is_config_error(self, dataset_file, tmp_path, capsys, change):
+        from hifbench.profiles import CNN_SPEC
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**CNN_SPEC.to_dict(), **change}))
+        assert run_cli("train", "--data", dataset_file, "--model", spec,
+                       "--out", tmp_path / "m.ckpt", "--epochs", 1) == cli.EXIT_CONFIG
+        assert "error: cannot load model spec" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
 
 class TestFinetune:
     def test_finetune_runs(self, dataset_file, tmp_path):

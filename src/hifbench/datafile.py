@@ -22,11 +22,11 @@ import zlib
 import numpy as np
 
 from .fileio import write_atomic
-from .waveforms import SCENARIOS, Dataset, Label, SystemId, Window
+from .waveforms import (CHUNK_WINDOWS, SCENARIOS, Dataset, Label, NonFiniteRowError, SystemId,
+                        Window, _row_windows)
 
 MAGIC = b"HIFDATA\x01"
 FORMAT_VERSION = 1
-CHUNK_WINDOWS = 128  # records per read or write: ~300 kB at 300 samples
 
 _HEADER = struct.Struct("<8sIIQIBQ")
 _RECORD_HEAD = struct.Struct("<BBQ")
@@ -54,8 +54,8 @@ class DatasetFieldError(DatasetFileError):
 
 
 _SCENARIO_BY_ID = {s.system_id: s for s in SCENARIOS.values()}
-_LABEL_VALUES = [int(v) for v in Label]
-_SYSTEM_ID_VALUES = [int(v) for v in SystemId]
+_LABELS = {int(v): v for v in Label}
+_SYSTEM_IDS = {int(v): v for v in SystemId}
 
 
 def _record_dtype(window_length: int) -> np.dtype:
@@ -107,12 +107,11 @@ def write_dataset(d: Dataset, path) -> None:
 def _read_records(f, count: int, window_length: int, crc: int, path):
     """Read count records from f, CHUNK_WINDOWS at a time through one buffer.
 
-    Returns the CRC continued over them, their heads, their samples as one
-    (count, window_length) block, and whether each block row is finite.
+    Returns the CRC continued over them, their heads, and their samples as one
+    (count, window_length) block.
     """
     heads = np.empty(count, [("label", "u1"), ("scenario_id", "u1"), ("seed", "<u8")])
     block = np.empty((count, window_length))
-    finite = np.empty(count, bool)
     if count:  # with no records the size does not bound window_length, nor its dtype's size
         chunk = np.empty(min(count, CHUNK_WINDOWS), _record_dtype(window_length))
     for start in range(0, count, CHUNK_WINDOWS):
@@ -124,8 +123,7 @@ def _read_records(f, count: int, window_length: int, crc: int, path):
         rows = slice(start, start + len(records))
         heads[rows] = records[["label", "scenario_id", "seed"]]
         block[rows] = records["samples"]
-        finite[rows] = np.isfinite(block[rows]).all(axis=1)
-    return crc, heads, block, finite
+    return crc, heads, block
 
 
 def read_dataset(path) -> Dataset:
@@ -148,7 +146,7 @@ def read_dataset(path) -> Dataset:
                 f"{path}: expected {expected} bytes for {count} windows, found {size}"
             )
 
-        crc, heads, block, finite = _read_records(
+        crc, heads, block = _read_records(
             f, count, window_length, zlib.crc32(header), path)
         footer = f.read(_CRC.size)
     if len(footer) != _CRC.size:
@@ -158,21 +156,19 @@ def read_dataset(path) -> Dataset:
     if scenario_id not in _SCENARIO_BY_ID:
         raise DatasetFieldError(f"{path}: unknown scenario id {scenario_id}")
 
-    # The first bad window names the error; within it, label and scenario before samples.
+    # The first bad window names the error; within it, label and scenario before
+    # samples.  So the windows before the first unknown label or scenario are
+    # built (their samples checked), and only then is that window named.
     labels, scenario_ids = heads["label"], heads["scenario_id"]
-    known = np.isin(labels, _LABEL_VALUES) & np.isin(scenario_ids, _SYSTEM_ID_VALUES)
-    ok = known & finite
-    if not ok.all():
-        k = int(ok.argmin())
-        if not known[k]:
-            raise DatasetFieldError(
-                f"{path}: window {k}: label {labels[k]} or scenario id {scenario_ids[k]} unknown"
-            )
-        raise DatasetFieldError(f"{path}: window {k}: non-finite sample")
-
-    windows = [
-        Window(row, Label(label), SystemId(w_scenario_id), seed)
-        for row, label, w_scenario_id, seed in zip(
-            block, labels.tolist(), scenario_ids.tolist(), heads["seed"].tolist())
-    ]
+    known = np.isin(labels, list(_LABELS)) & np.isin(scenario_ids, list(_SYSTEM_IDS))
+    k = count if known.all() else int(known.argmin())
+    try:
+        windows = _row_windows(block[:k], [_LABELS[v] for v in labels[:k].tolist()],
+                               [_SYSTEM_IDS[v] for v in scenario_ids[:k].tolist()],
+                               heads["seed"][:k].tolist())
+    except NonFiniteRowError as exc:
+        raise DatasetFieldError(f"{path}: window {exc.index}: non-finite sample") from None
+    if k < count:
+        raise DatasetFieldError(
+            f"{path}: window {k}: label {labels[k]} or scenario id {scenario_ids[k]} unknown")
     return Dataset(windows, master_seed, _SCENARIO_BY_ID[scenario_id], gen_version)

@@ -6,13 +6,20 @@ positive path when the instantaneous phase voltage exceeds v_p, through the
 negative path when it drops below v_n, and is zero on the dead band in
 between.  Arc randomness is modeled as an independent multiplicative
 perturbation of the two resistances every half cycle.
+
+Each window's random draws come from its own generators, made and drawn from
+one window at a time; the waveforms themselves are computed CHUNK_WINDOWS
+windows at a time, as rows of one array, by elementwise operations that give
+each row the bytes a per-window computation would.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,6 +34,8 @@ NOISE_LEVEL = 0.02
 # Fault/transient inception is confined to the leading portion of the window
 # so that at least one full half cycle of the event is always captured.
 INCEPTION_SPAN_FRACTION = 0.55
+
+CHUNK_WINDOWS = 128  # windows per vectorised pass: ~300 kB per temporary at 300 samples
 
 
 class Label(enum.IntEnum):
@@ -59,7 +68,7 @@ class FeederScenario:
     sampling_rate: float = SAMPLING_RATE_HZ
     window_length: int = WINDOW_LENGTH
     noise_level: float = NOISE_LEVEL
-    # Upper bounds for the per-window load-texture draws (see _base_waves).
+    # Upper bounds for the per-window load-texture draws (see _synthesize_chunk).
     harmonic_max: float = 0.05
     saturation_max: float = 0.45
     am_depth_max: float = 0.22
@@ -193,114 +202,56 @@ class Dataset:
 def hif_current(v, p: HifParams):
     """Instantaneous fault current of the anti-parallel diode model, elementwise
     in the voltage.  Each diode conducts only beyond its own threshold, and
-    v_n < 0 < v_p, so at most one of the two terms is nonzero."""
+    v_n < 0 < v_p, so at most one of the two terms is nonzero.  The fields of p
+    may be arrays that broadcast against v."""
     return np.maximum(v - p.v_p, 0.0) / p.r_p + np.minimum(v - p.v_n, 0.0) / p.r_n
 
 
-def add_noise(samples: np.ndarray, level: float, rng: np.random.Generator) -> np.ndarray:
-    """Add zero-mean Gaussian noise with sigma = level * RMS of the clean signal."""
+def add_noise(samples: np.ndarray, level: float, z: np.ndarray | None) -> np.ndarray:
+    """Add zero-mean Gaussian noise to each row (last axis) of samples, with
+    sigma = level * the row's RMS; z holds standard-normal draws of samples'
+    shape, so the noise is what rng.normal(0.0, sigma) would draw from them.
+    At level 0, and on rows of zero RMS, a row comes back unchanged (adding
+    0.0 would turn -0.0 into +0.0), and z may then be None."""
     if level < 0:
         raise ConfigError("noise level must be nonnegative")
     samples = np.asarray(samples, dtype=np.float64)
     if level == 0:
         return samples.copy()
-    rms = math.sqrt(float(np.mean(samples * samples)))
-    if rms == 0.0:
-        return samples.copy()
-    return samples + rng.normal(0.0, level * rms, size=samples.shape)
+    # np.mean's sum and division, without its per-call overhead
+    rms = np.sqrt(np.add.reduce(samples * samples, axis=-1, keepdims=True) / samples.shape[-1])
+    noisy = samples + (0.0 + (level * rms) * z)
+    return noisy if rms.all() else np.where(rms == 0.0, samples, noisy)
 
 
-def _derived_seed(rng_seed) -> int:
-    return int(np.random.SeedSequence(rng_seed).generate_state(1, np.uint64)[0])
+class NonFiniteRowError(ConfigError):
+    """A window's samples are not all finite; index names the window."""
+
+    def __init__(self, index: int):
+        super().__init__(f"window {index}: samples must be finite")
+        self.index = index
+
+
+def _row_windows(block: np.ndarray, labels, scenario_ids, seeds) -> list[Window]:
+    """Windows whose samples are the rows of a float64 (N, L) block.
+
+    The block is checked finite CHUNK_WINDOWS rows at a time, and a bad row
+    raises NonFiniteRowError; Window()'s own per-row check is not repeated.
+    """
+    for start in range(0, len(block), CHUNK_WINDOWS):
+        part = block[start : start + CHUNK_WINDOWS]
+        if not np.isfinite(part).all():
+            raise NonFiniteRowError(start + int(np.isfinite(part).all(axis=1).argmin()))
+    windows = []
+    for row, label, scenario_id, seed in zip(block, labels, scenario_ids, seeds):
+        w = object.__new__(Window)
+        w.samples, w.label, w.scenario_id, w.generation_seed = row, label, scenario_id, seed
+        windows.append(w)
+    return windows
 
 
 def _rng(rng_seed) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(rng_seed))
-
-
-def _inception_sample(scenario: FeederScenario, angle: float) -> int:
-    return int(round(angle / (2 * math.pi) * scenario.samples_per_cycle))
-
-
-def _base_waves(scenario: FeederScenario, rng: np.random.Generator):
-    """Random-phase voltage and in-phase load current over one window.
-
-    The load current is not a clean sinusoid.  On top of the fundamental it
-    carries random low-order harmonics, a flat-top saturation term, and a slow
-    amplitude modulation, all drawn per window.  These nuisance components
-    appear in both classes, so waveform texture alone is not a label giveaway;
-    the HIF signature remains the distortion locked to the voltage extrema.
-    """
-    t = np.arange(scenario.window_length) / scenario.sampling_rate
-    phase0 = rng.uniform(0.0, 2 * math.pi)
-    phase = 2 * math.pi * scenario.grid_frequency * t + phase0
-    voltage = scenario.peak_voltage * np.sin(phase)
-    fundamental = np.sin(phase)
-    shape = fundamental.copy()
-    for order in _HARMONIC_ORDERS:
-        amp = rng.uniform(0.0, scenario.harmonic_max)
-        shift = rng.uniform(0.0, 2 * math.pi)
-        shape = shape + amp * np.sin(order * phase + shift)
-    # Flat-top saturation of the load current peaks (odd, peak-flattening).
-    beta = rng.uniform(0.0, scenario.saturation_max)
-    shape = shape - beta * fundamental**3
-    # Slow amplitude modulation from load fluctuation.
-    depth = rng.uniform(0.0, scenario.am_depth_max)
-    am_freq = rng.uniform(*_AM_FREQ_RANGE)
-    am_phase = rng.uniform(0.0, 2 * math.pi)
-    shape = shape * (1.0 + depth * np.sin(2 * math.pi * am_freq * t + am_phase))
-    load = scenario.loading_level * scenario.base_load_current * shape
-    return t, phase, voltage, load
-
-
-def synth_hif_window(scenario: FeederScenario, p: HifParams, rng_seed) -> Window:
-    """One labeled HIF window: load current + faulted diode-model current + noise."""
-    p.validate(scenario.peak_voltage)
-    rng = _rng(rng_seed)
-    t, phase, voltage, load = _base_waves(scenario, rng)
-    k0 = min(_inception_sample(scenario, p.inception_angle), scenario.window_length)
-
-    fault = np.zeros(scenario.window_length)
-    if k0 < scenario.window_length:
-        # phase is strictly increasing, so half-cycle ids come out sorted and
-        # the per-half-cycle jitter draws happen in a fixed order
-        half_ids = np.floor(phase[k0:] / math.pi).astype(np.int64)
-        for hid in np.unique(half_ids):
-            j_p = 1.0 + rng.uniform(-p.arc_jitter, p.arc_jitter)
-            j_n = 1.0 + rng.uniform(-p.arc_jitter, p.arc_jitter)
-            mask = half_ids == hid
-            fault[k0:][mask] = hif_current(voltage[k0:][mask],
-                                           replace(p, r_p=p.r_p * j_p, r_n=p.r_n * j_n))
-
-    samples = add_noise(load + fault, scenario.noise_level, rng)
-    return Window(samples, Label.HIF, scenario.system_id, _derived_seed(rng_seed))
-
-
-def synth_transient_window(scenario: FeederScenario, tp: TransientParams, rng_seed) -> Window:
-    """One labeled normal-transient window (load step, capacitor or feeder switch)."""
-    tp.validate()
-    rng = _rng(rng_seed)
-    t, phase, voltage, load = _base_waves(scenario, rng)
-    k0 = min(_inception_sample(scenario, tp.inception_angle), scenario.window_length)
-
-    clean = load.copy()
-    if k0 < scenario.window_length:
-        if tp.kind == TransientKind.LOAD_STEP:
-            clean[k0:] *= 1.0 + tp.magnitude
-        elif tp.kind == TransientKind.CAPACITOR_SWITCH:
-            dt = t[k0:] - t[k0]
-            amp = tp.magnitude * scenario.base_load_current
-            clean[k0:] += (
-                amp
-                * np.exp(-dt / tp.damping_time_constant)
-                * np.sin(2 * math.pi * tp.oscillation_frequency * dt)
-            )
-        else:  # FEEDER_SWITCH: dropout lasting `magnitude` cycles, then restore
-            dur = max(1, int(round(tp.magnitude * scenario.samples_per_cycle)))
-            clean[k0 : k0 + dur] *= 0.05
-
-    samples = add_noise(clean, scenario.noise_level, rng)
-    return Window(samples, Label.NORMAL, scenario.system_id, _derived_seed(rng_seed))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed)))
 
 
 @dataclass(frozen=True)
@@ -328,6 +279,8 @@ class ParamRanges:
             lo, hi = getattr(self, name)
             if not (lo <= hi):
                 raise ConfigError(f"empty range for {name}: ({lo}, {hi})")
+            if not math.isfinite(hi - lo):  # a range numpy cannot draw from
+                raise ConfigError(f"unbounded range for {name}: ({lo}, {hi})")
         if self.frequency[0] <= 0:
             raise ConfigError("frequency range must be positive")
 
@@ -336,11 +289,17 @@ class ParamRanges:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ParamRanges":
+        if not isinstance(d, dict):
+            raise ConfigError("ranges must be an object")
         kwargs = {}
         for name, value in d.items():
             if name not in cls._FIELDS:
                 raise ConfigError(f"unknown range key: {name}")
-            kwargs[name] = (float(value[0]), float(value[1]))
+            try:
+                lo, hi = value
+                kwargs[name] = (float(lo), float(hi))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"range {name} must be a [low, high] pair of numbers") from exc
         r = cls(**kwargs)
         r.validate()
         return r
@@ -361,7 +320,7 @@ _CAP_TAU = (0.002, 0.010)
 _CAP_FREQ = (300.0, 900.0)
 _FEEDER_MAG = (0.1, 0.5)  # dropout length in cycles
 
-# Nuisance texture of the steady load current (see _base_waves): random 3rd
+# Nuisance texture of the steady load current (see _synthesize_chunk): random 3rd
 # and 5th harmonics, flat-top saturation, and slow amplitude modulation.
 # Intensity bounds live on FeederScenario; only the structure is fixed here.
 _HARMONIC_ORDERS = (3, 5)
@@ -381,10 +340,21 @@ class GenConfig:
             raise ConfigError(f"unknown scenario: {self.scenario!r}")
         if self.count < 2:
             raise ConfigError("count must be at least 2")
+        if not 0 <= self.seed < 2**64:  # the dataset file stores it as a u64
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         self.ranges.validate()
+        # Above the Nyquist rate a half cycle is shorter than a sample; at a low
+        # enough frequency the samples per cycle, and so the inception, overflow.
+        sampling_rate = SCENARIOS[self.scenario].sampling_rate
+        low, high = self.ranges.frequency
+        if not (high < sampling_rate / 2 and math.isfinite(sampling_rate / low)):
+            raise ConfigError(f"frequency range ({low}, {high}) must lie within "
+                              f"(0, {sampling_rate / 2}) Hz with finite samples per cycle")
         weights = list(self.transient_mix.values())
-        if not self.transient_mix or any(w < 0 for w in weights) or sum(weights) <= 0:
-            raise ConfigError("transient_mix must have nonnegative weights summing > 0")
+        if not all(isinstance(w, numbers.Real) and math.isfinite(w) and w >= 0 for w in weights):
+            raise ConfigError("transient_mix weights must be finite nonnegative numbers")
+        if not (weights and 0 < sum(weights) < math.inf):
+            raise ConfigError("transient_mix weights must sum to a finite number > 0")
         for kind in self.transient_mix:
             if kind not in _TRANSIENT_KINDS:
                 raise ConfigError(f"unknown transient kind: {kind}")
@@ -400,6 +370,8 @@ class GenConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GenConfig":
+        if not isinstance(d, dict):
+            raise ConfigError("config must be a JSON object")
         allowed = {"scenario", "count", "seed", "ranges", "transient_mix"}
         unknown = set(d) - allowed
         if unknown:
@@ -414,6 +386,8 @@ class GenConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"missing config key: {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"malformed config value: {exc}") from exc
         cfg.validate()
         return cfg
 
@@ -424,6 +398,16 @@ class GenConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_dict(d)
+
+
+@functools.lru_cache(maxsize=16)
+def _transient_choices(mix: tuple) -> tuple[tuple[TransientKind, ...], np.ndarray]:
+    """The kinds of a mix, given as sorted (name, weight) pairs, and their draw
+    probabilities (read-only: every caller shares them)."""
+    weights = np.array([w for _, w in mix], dtype=np.float64)
+    probs = weights / weights.sum()
+    probs.flags.writeable = False
+    return tuple(_TRANSIENT_KINDS[name] for name, _ in mix), probs
 
 
 def _draw_hif_params(rng: np.random.Generator, scenario: FeederScenario, r: ParamRanges) -> HifParams:
@@ -437,10 +421,8 @@ def _draw_hif_params(rng: np.random.Generator, scenario: FeederScenario, r: Para
     )
 
 
-def _draw_transient_params(rng: np.random.Generator, mix: dict) -> TransientParams:
-    names = sorted(mix)
-    weights = np.array([mix[n] for n in names], dtype=np.float64)
-    kind = _TRANSIENT_KINDS[names[rng.choice(len(names), p=weights / weights.sum())]]
+def _draw_transient_params(rng: np.random.Generator, kinds: tuple, probs: np.ndarray) -> TransientParams:
+    kind = kinds[rng.choice(len(kinds), p=probs)]
     angle = rng.uniform(0.0, 2 * math.pi * INCEPTION_SPAN_FRACTION)
     if kind == TransientKind.LOAD_STEP:
         return TransientParams(kind, rng.uniform(*_LOAD_STEP_MAG), angle)
@@ -455,28 +437,200 @@ def _draw_transient_params(rng: np.random.Generator, mix: dict) -> TransientPara
     return TransientParams(kind, rng.uniform(*_FEEDER_MAG), angle)
 
 
+def _synthesize(scenario: FeederScenario, jobs, count: int) -> list[Window]:
+    """The windows of `count` jobs, each (loading, frequency, params, seq): the
+    window's loading level and grid frequency, its HifParams or TransientParams,
+    and the SeedSequence of its synthesis draws.  The scenario gives every other
+    field.  Draws are made window by window, in the order of the per-window law;
+    the waveforms are computed CHUNK_WINDOWS windows at a time into one block."""
+    block = np.empty((count, scenario.window_length))
+    labels, seeds = [], []
+    jobs = iter(jobs)
+    for start in range(0, count, CHUNK_WINDOWS):
+        chunk = [next(jobs) for _ in range(min(CHUNK_WINDOWS, count - start))]
+        _synthesize_chunk(scenario, chunk, block[start : start + len(chunk)], labels, seeds)
+    return _row_windows(block, labels, [scenario.system_id] * count, seeds)
+
+
+@functools.lru_cache(maxsize=4)
+def _sample_axes(window_length: int, sampling_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """A window's sample indices and sample times, as shared read-only arrays."""
+    cols = np.arange(window_length)
+    t = cols / sampling_rate
+    cols.flags.writeable = t.flags.writeable = False
+    return cols, t
+
+
+def _synthesize_chunk(scenario: FeederScenario, jobs, out: np.ndarray, labels: list,
+                      seeds: list) -> None:
+    """Fill out's rows with the jobs' samples; append their labels and seeds.
+
+    The windows are computed grouped by event (HIF, then each transient kind),
+    so that each event's law runs on a slice of the chunk, and are put back in
+    job order at the end.
+    """
+    L = scenario.window_length
+    two_pi = 2 * math.pi
+    rngs = []
+    groups = [[], [], [], []]  # HIF windows, then one group per TransientKind
+    for j, (loading, frequency, p, seq) in enumerate(jobs):
+        if loading <= 0:
+            raise ConfigError("loading_level must be positive")
+        is_hif = isinstance(p, HifParams)
+        if is_hif:
+            p.validate(scenario.peak_voltage)
+        else:
+            p.validate()
+        rng = np.random.Generator(np.random.PCG64(seq))
+        uniform = rng.uniform
+        # the window's load texture, drawn in the order the waveform uses it
+        row = [two_pi * frequency, uniform(0.0, two_pi)]
+        for _ in _HARMONIC_ORDERS:
+            row += [uniform(0.0, scenario.harmonic_max), uniform(0.0, two_pi)]
+        row += [uniform(0.0, scenario.saturation_max), uniform(0.0, scenario.am_depth_max),
+                two_pi * uniform(*_AM_FREQ_RANGE), uniform(0.0, two_pi),
+                loading * scenario.base_load_current]
+        samples_per_cycle = scenario.sampling_rate / frequency
+        row.append(min(int(round(p.inception_angle / two_pi * samples_per_cycle)), L))
+        rngs.append(rng)
+        seeds.append(int(seq.generate_state(1, np.uint64)[0]))
+        labels.append(Label.HIF if is_hif else Label.NORMAL)
+        if is_hif:
+            event = (p.v_p, p.v_n, p.r_p, p.r_n, p.arc_jitter)
+        elif p.kind == TransientKind.LOAD_STEP:
+            event = (1.0 + p.magnitude,)
+        elif p.kind == TransientKind.CAPACITOR_SWITCH:
+            event = (p.magnitude * scenario.base_load_current, p.damping_time_constant,
+                     two_pi * p.oscillation_frequency)
+        else:  # dropout lasting `magnitude` cycles, at most to the window's end
+            event = (min(max(1, int(round(p.magnitude * samples_per_cycle))), L),)
+        groups[0 if is_hif else 1 + p.kind].append((j, row, event))
+
+    order, rows, parts = [], [], []
+    for group in groups:
+        # the group's slice of the chunk, and one (len(group), 1) column per event field
+        if not group:
+            parts.append((None, None))
+            continue
+        parts.append((slice(len(order), len(order) + len(group)),
+                      np.array([event for _, _, event in group]).T[:, :, None]))
+        order += [j for j, _, _ in group]
+        rows += [row for _, row, _ in group]
+    hif, step, cap, drop = parts
+    # one (n, 1) column per per-window scalar: rate, phase0, (amplitude, shift)
+    # per harmonic, beta, depth, am_rate, am_phase, load_scale, k0
+    w = np.array(rows).T[:, :, None]
+    rate, phase0 = w[0], w[1]
+    beta, depth, am_rate, am_phase, load_scale = w[-6:-1]
+    k0 = w[-1].astype(np.int64)
+    cols, t = _sample_axes(L, scenario.sampling_rate)
+    started = cols >= k0
+
+    # Random-phase voltage and in-phase load current.  The load current is not
+    # a clean sinusoid: on top of the fundamental it carries random low-order
+    # harmonics, a flat-top saturation term and a slow amplitude modulation,
+    # all drawn per window.  These nuisance components appear in both classes,
+    # so waveform texture alone is not a label giveaway; the HIF signature
+    # remains the distortion locked to the voltage extrema.
+    phase = rate * t + phase0
+    fundamental = np.sin(phase)
+    shape = fundamental
+    for h, harmonic in enumerate(_HARMONIC_ORDERS):
+        shape = shape + w[2 + 2 * h] * np.sin(harmonic * phase + w[3 + 2 * h])
+    # Flat-top saturation of the load current peaks (odd, peak-flattening).
+    shape = shape - beta * fundamental**3
+    # Slow amplitude modulation from load fluctuation.
+    shape = shape * (1.0 + depth * np.sin(am_rate * t + am_phase))
+    clean = load_scale * shape
+
+    s, fields = hif
+    if fields is not None:
+        v_p, v_n, _, _, jitter = fields
+        # Arc jitter: one (r_p, r_n) perturbation per half cycle from inception,
+        # drawn in half-cycle order.  A sample's rank is the number of changes of
+        # half-cycle id between k0 and it, so it indexes its half cycle's draw.
+        half_ids = np.floor(phase[s] / math.pi).astype(np.int64)
+        rank = np.zeros(half_ids.shape, np.int64)
+        np.add.accumulate((half_ids[:, 1:] != half_ids[:, :-1]) & (cols[1:] > k0[s]), axis=1,
+                          dtype=np.int64, out=rank[:, 1:])
+        n_half = rank[:, -1] + (k0[s, 0] < L)  # none if inception falls past the window
+        width = max(1, n_half.max())
+        draws = np.zeros((len(n_half), width, 2))
+        for i, j in enumerate(order[s]):
+            a = jitter[i, 0]
+            draws[i, : n_half[i]] = rngs[j].uniform(-a, a, size=(n_half[i], 2))
+        # each sample's (r_p, r_n) is its half cycle's row of the flattened table
+        r = (fields[2:4].transpose(1, 2, 0) * (1.0 + draws)).reshape(-1, 2)
+        r = np.take(r, rank + width * np.arange(len(n_half))[:, None], axis=0)
+        fault = hif_current(scenario.peak_voltage * fundamental[s],
+                            HifParams(v_p, v_n, r[..., 0], r[..., 1], 0.0))
+        np.add(clean[s], fault, out=clean[s], where=started[s])
+    s, fields = step
+    if fields is not None:
+        np.multiply(clean[s], fields[0], out=clean[s], where=started[s])
+    s, fields = cap
+    if fields is not None:
+        amp, tau, osc_rate = fields
+        # time since inception; the clip only touches samples before it
+        dt = np.maximum(t - t[np.minimum(k0[s], L - 1)], 0.0)
+        ring = amp * np.exp(-dt / tau) * np.sin(osc_rate * dt)
+        np.add(clean[s], ring, out=clean[s], where=started[s])
+    s, fields = drop
+    if fields is not None:
+        dropped = started[s] & (cols < k0[s] + fields[0].astype(np.int64))
+        np.multiply(clean[s], 0.05, out=clean[s], where=dropped)
+
+    z = None
+    if scenario.noise_level > 0:
+        z = np.empty(clean.shape)
+        for i, j in enumerate(order):
+            rngs[j].standard_normal(out=z[i])
+    out[order] = add_noise(clean, scenario.noise_level, z)
+
+
+def _dataset_jobs(config: GenConfig, master_seed: int, indices):
+    """Synthesis jobs of the dataset's windows: each window's loading, frequency
+    and event parameters come from its own generator, seeded by (seed, index, 0);
+    even windows are HIF, odd ones normal transients."""
+    scenario = SCENARIOS[config.scenario]
+    r = config.ranges
+    kinds, probs = _transient_choices(tuple(sorted(config.transient_mix.items())))
+    for i in indices:
+        draw_rng = _rng([master_seed, i, 0])
+        loading = draw_rng.uniform(*r.loading)
+        frequency = draw_rng.uniform(*r.frequency)
+        if i % 2 == 0:
+            params = _draw_hif_params(draw_rng, scenario, r)
+        else:
+            params = _draw_transient_params(draw_rng, kinds, probs)
+        yield loading, frequency, params, np.random.SeedSequence([master_seed, i, 1])
+
+
 def generate_window(config: GenConfig, master_seed: int, index: int) -> Window:
     """Window `index` of the dataset: pure in (config, master_seed, index)."""
-    base = SCENARIOS[config.scenario]
-    draw_rng = _rng([master_seed, index, 0])
-    loading = draw_rng.uniform(*config.ranges.loading)
-    frequency = draw_rng.uniform(*config.ranges.frequency)
-    scenario = replace(base, loading_level=loading, grid_frequency=frequency)
-    synth_seed = [master_seed, index, 1]
-    if index % 2 == 0:
-        params = _draw_hif_params(draw_rng, scenario, config.ranges)
-        return synth_hif_window(scenario, params, synth_seed)
-    tparams = _draw_transient_params(draw_rng, config.transient_mix)
-    return synth_transient_window(scenario, tparams, synth_seed)
+    return _synthesize(SCENARIOS[config.scenario], _dataset_jobs(config, master_seed, [index]), 1)[0]
+
+
+def synth_hif_window(scenario: FeederScenario, p: HifParams, rng_seed) -> Window:
+    """One labeled HIF window: load current + faulted diode-model current + noise."""
+    job = (scenario.loading_level, scenario.grid_frequency, p, np.random.SeedSequence(rng_seed))
+    return _synthesize(scenario, [job], 1)[0]
+
+
+def synth_transient_window(scenario: FeederScenario, tp: TransientParams, rng_seed) -> Window:
+    """One labeled normal-transient window (load step, capacitor or feeder switch)."""
+    job = (scenario.loading_level, scenario.grid_frequency, tp, np.random.SeedSequence(rng_seed))
+    return _synthesize(scenario, [job], 1)[0]
 
 
 def build_dataset(config: GenConfig, master_seed: int | None = None) -> Dataset:
     """Balanced labeled dataset; windows are independent given (seed, index)."""
+    if master_seed is not None:
+        config = replace(config, seed=master_seed)
     config.validate()
-    if master_seed is None:
-        master_seed = config.seed
-    windows = [generate_window(config, master_seed, i) for i in range(config.count)]
-    return Dataset(windows, master_seed, SCENARIOS[config.scenario])
+    scenario = SCENARIOS[config.scenario]
+    jobs = _dataset_jobs(config, config.seed, range(config.count))
+    return Dataset(_synthesize(scenario, jobs, config.count), config.seed, scenario)
 
 
 def split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -66,6 +66,47 @@ class TestGen:
         assert run_cli("gen", "--config", cfg,
                        "--out", tmp_path / "x") == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("change", [
+        {"ranges": 5},
+        {"ranges": {"v_p": [1]}},
+        {"ranges": {"loading": [-1e308, 1e308]}},
+        {"ranges": {"frequency": [60.0, 7500.0]}},
+        {"ranges": {"frequency": [1e-320, 60.0]}},
+        {"count": "x"},
+        {"seed": 1e999},
+        {"transient_mix": {"load_step": "a"}},
+        {"transient_mix": {"load_step": 1e308, "feeder_switch": 1e308}},
+        {"transient_mix": 5},
+    ], ids=["ranges_not_object", "range_of_one", "unbounded_range", "frequency_above_nyquist",
+            "frequency_subnormal", "count_not_int",
+            "seed_infinite", "weight_not_number", "weights_sum_overflows", "mix_not_object"])
+    def test_malformed_config_is_config_error(self, tmp_path, capsys, change):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"scenario": "source", "count": 10, "seed": 1, **change}))
+        out = tmp_path / "x.dataset"
+        assert run_cli("gen", "--config", cfg, "--out", out) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_config_not_an_object_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text("[]")
+        assert run_cli("gen", "--config", cfg, "--out", tmp_path / "x") == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_u64_is_config_error(self, tmp_path, capsys, seed):
+        out = tmp_path / "x.dataset"
+        assert run_cli("gen", "--profile", "case2", "--seed", seed, "--out", out) == cli.EXIT_CONFIG
+        assert "seed" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_largest_u64_seed_is_recorded(self, tmp_path):
+        out = tmp_path / "x.dataset"
+        assert run_cli("gen", "--profile", "case2", "--count", 4, "--seed", 2**64 - 1,
+                       "--out", out) == cli.EXIT_OK
+        assert read_dataset(out).master_seed == 2**64 - 1
+
 
 class TestTrainEvalPipeline:
     def test_train_then_eval(self, dataset_file, tmp_path, capsys):

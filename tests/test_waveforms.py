@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -7,7 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hifbench import profiles
+from hifbench.datafile import write_dataset
 from hifbench.waveforms import (
+    CHUNK_WINDOWS,
+    SAMPLING_RATE_HZ,
     SCENARIOS,
     ConfigError,
     Dataset,
@@ -124,27 +129,36 @@ class TestParamValidation:
 
 class TestAddNoise:
     def test_zero_level_is_exact_copy(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=64)
-        out = add_noise(x, 0.0, rng)
+        x = np.random.default_rng(0).normal(size=64)
+        out = add_noise(x, 0.0, None)
         assert np.array_equal(out, x)
         assert out is not x
 
     def test_sigma_scales_with_rms(self):
-        rng = np.random.default_rng(7)
         x = np.full(200_000, 10.0)
-        out = add_noise(x, 0.02, rng)
+        out = add_noise(x, 0.02, np.random.default_rng(7).standard_normal(x.shape))
         sigma = np.std(out - x)
         assert sigma == pytest.approx(0.2, rel=0.02)
 
     def test_negative_level_rejected(self):
         with pytest.raises(ConfigError):
-            add_noise(np.ones(4), -0.1, np.random.default_rng(0))
+            add_noise(np.ones(4), -0.1, np.zeros(4))
 
     def test_zero_signal_stays_zero(self):
         x = np.zeros(16)
-        out = add_noise(x, 0.02, np.random.default_rng(0))
+        out = add_noise(x, 0.02, np.random.default_rng(0).standard_normal(16))
         assert np.array_equal(out, x)
+
+    def test_noise_is_what_normal_draws_row_by_row(self):
+        # rows of different RMS; the third is zero and holds a -0.0
+        x = np.random.default_rng(1).normal(size=(4, 50)) * np.array([[1.0], [1e-3], [0.0], [7.0]])
+        x[2, 3] = -0.0
+        out = add_noise(x, 0.02, np.random.default_rng(2).standard_normal(x.shape))
+        rng = np.random.default_rng(2)
+        for row, noisy in zip(x, out):
+            rms = math.sqrt(float(np.mean(row * row)))
+            drawn = rng.normal(0.0, 0.02 * rms, size=row.shape)
+            assert noisy.tobytes() == (row + drawn if rms else row).tobytes()
 
 
 class TestSynthesis:
@@ -284,3 +298,226 @@ class TestSplit:
             split(small_dataset, 1.0, 0)
         with pytest.raises(ConfigError):
             split(small_dataset, 0.0, 0)
+
+
+# ---------------------------------------------------------------------------
+# The chunked synthesizer against a per-window reference.  The reference is the
+# scalar law one window at a time, as generation ran before it was vectorised;
+# the synthesizer must give every window its bytes.
+
+def _ref_rng(rng_seed):
+    return np.random.default_rng(np.random.SeedSequence(rng_seed))
+
+
+def _ref_add_noise(samples, level, rng):
+    if level == 0:
+        return samples.copy()
+    rms = math.sqrt(float(np.mean(samples * samples)))
+    if rms == 0.0:
+        return samples.copy()
+    return samples + rng.normal(0.0, level * rms, size=samples.shape)
+
+
+def _ref_base_waves(scenario, rng):
+    t = np.arange(scenario.window_length) / scenario.sampling_rate
+    phase0 = rng.uniform(0.0, 2 * math.pi)
+    phase = 2 * math.pi * scenario.grid_frequency * t + phase0
+    voltage = scenario.peak_voltage * np.sin(phase)
+    fundamental = np.sin(phase)
+    shape = fundamental.copy()
+    for order in (3, 5):
+        amp = rng.uniform(0.0, scenario.harmonic_max)
+        shift = rng.uniform(0.0, 2 * math.pi)
+        shape = shape + amp * np.sin(order * phase + shift)
+    beta = rng.uniform(0.0, scenario.saturation_max)
+    shape = shape - beta * fundamental**3
+    depth = rng.uniform(0.0, scenario.am_depth_max)
+    am_freq = rng.uniform(1.0, 8.0)
+    am_phase = rng.uniform(0.0, 2 * math.pi)
+    shape = shape * (1.0 + depth * np.sin(2 * math.pi * am_freq * t + am_phase))
+    load = scenario.loading_level * scenario.base_load_current * shape
+    return t, phase, voltage, load
+
+
+def _ref_inception(scenario, angle):
+    return min(int(round(angle / (2 * math.pi) * scenario.samples_per_cycle)),
+               scenario.window_length)
+
+
+def _ref_seed(rng_seed):
+    return int(np.random.SeedSequence(rng_seed).generate_state(1, np.uint64)[0])
+
+
+def ref_hif_window(scenario, p, rng_seed):
+    p.validate(scenario.peak_voltage)
+    rng = _ref_rng(rng_seed)
+    t, phase, voltage, load = _ref_base_waves(scenario, rng)
+    k0 = _ref_inception(scenario, p.inception_angle)
+    fault = np.zeros(scenario.window_length)
+    if k0 < scenario.window_length:
+        half_ids = np.floor(phase[k0:] / math.pi).astype(np.int64)
+        for hid in np.unique(half_ids):
+            j_p = 1.0 + rng.uniform(-p.arc_jitter, p.arc_jitter)
+            j_n = 1.0 + rng.uniform(-p.arc_jitter, p.arc_jitter)
+            mask = half_ids == hid
+            fault[k0:][mask] = hif_current(voltage[k0:][mask],
+                                           dataclasses.replace(p, r_p=p.r_p * j_p, r_n=p.r_n * j_n))
+    samples = _ref_add_noise(load + fault, scenario.noise_level, rng)
+    return Window(samples, Label.HIF, scenario.system_id, _ref_seed(rng_seed))
+
+
+def ref_transient_window(scenario, tp, rng_seed):
+    tp.validate()
+    rng = _ref_rng(rng_seed)
+    t, phase, voltage, load = _ref_base_waves(scenario, rng)
+    k0 = _ref_inception(scenario, tp.inception_angle)
+    clean = load.copy()
+    if k0 < scenario.window_length:
+        if tp.kind == TransientKind.LOAD_STEP:
+            clean[k0:] *= 1.0 + tp.magnitude
+        elif tp.kind == TransientKind.CAPACITOR_SWITCH:
+            dt = t[k0:] - t[k0]
+            amp = tp.magnitude * scenario.base_load_current
+            clean[k0:] += (amp * np.exp(-dt / tp.damping_time_constant)
+                           * np.sin(2 * math.pi * tp.oscillation_frequency * dt))
+        else:
+            dur = max(1, int(round(tp.magnitude * scenario.samples_per_cycle)))
+            clean[k0 : k0 + dur] *= 0.05
+    samples = _ref_add_noise(clean, scenario.noise_level, rng)
+    return Window(samples, Label.NORMAL, scenario.system_id, _ref_seed(rng_seed))
+
+
+_REF_KINDS = {"load_step": TransientKind.LOAD_STEP,
+              "capacitor_switch": TransientKind.CAPACITOR_SWITCH,
+              "feeder_switch": TransientKind.FEEDER_SWITCH}
+
+
+def ref_generate_window(config, master_seed, index):
+    base = SCENARIOS[config.scenario]
+    r = config.ranges
+    rng = _ref_rng([master_seed, index, 0])
+    loading = rng.uniform(*r.loading)
+    frequency = rng.uniform(*r.frequency)
+    scenario = dataclasses.replace(base, loading_level=loading, grid_frequency=frequency)
+    seed = [master_seed, index, 1]
+    span = 2 * math.pi * 0.55
+    if index % 2 == 0:
+        p = HifParams(v_p=rng.uniform(*r.v_p) * scenario.peak_voltage,
+                      v_n=-rng.uniform(*r.v_n) * scenario.peak_voltage,
+                      r_p=rng.uniform(*r.r_p), r_n=rng.uniform(*r.r_n),
+                      inception_angle=rng.uniform(0.0, span), arc_jitter=rng.uniform(*r.jitter))
+        return ref_hif_window(scenario, p, seed)
+    names = sorted(config.transient_mix)
+    weights = np.array([config.transient_mix[n] for n in names], dtype=np.float64)
+    kind = _REF_KINDS[names[rng.choice(len(names), p=weights / weights.sum())]]
+    angle = rng.uniform(0.0, span)
+    if kind == TransientKind.LOAD_STEP:
+        tp = TransientParams(kind, rng.uniform(0.2, 1.5), angle)
+    elif kind == TransientKind.CAPACITOR_SWITCH:
+        tp = TransientParams(kind, rng.uniform(0.3, 1.2), angle,
+                             damping_time_constant=rng.uniform(0.002, 0.010),
+                             oscillation_frequency=rng.uniform(300.0, 900.0))
+    else:
+        tp = TransientParams(kind, rng.uniform(0.1, 0.5), angle)
+    return ref_transient_window(scenario, tp, seed)
+
+
+def assert_same_windows(got, want):
+    assert len(got) == len(want)
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert (a.label, a.scenario_id, a.generation_seed) == (
+            b.label, b.scenario_id, b.generation_seed), i
+        assert a.samples.tobytes() == b.samples.tobytes(), i
+
+
+QUIET = dataclasses.replace(SOURCE, noise_level=0.0)
+
+REFERENCE_CASES = {
+    "source": GenConfig(scenario="source", count=CHUNK_WINDOWS + 1, seed=5),
+    "target": dataclasses.replace(profiles.CASE2_GEN, count=CHUNK_WINDOWS + 1, seed=6),
+    "load_step": GenConfig(scenario="source", count=40, seed=7, transient_mix={"load_step": 1.0}),
+    "capacitor_switch": GenConfig(scenario="target", count=40, seed=8,
+                                  transient_mix={"capacitor_switch": 1.0}),
+    "feeder_switch": GenConfig(scenario="source", count=40, seed=9,
+                               transient_mix={"feeder_switch": 2.0}),
+    # 5-10 Hz: up to 3000 samples per cycle, so most inceptions fall past the window
+    "late_inception": GenConfig(scenario="target", count=40, seed=10,
+                                ranges=ParamRanges(frequency=(5.0, 10.0))),
+    "quiet": GenConfig(scenario="quiet", count=40, seed=11),
+    # a cycle longer than any int64 sample count: dropouts that outlast the window
+    "endless_cycle": GenConfig(scenario="source", count=6, seed=12,
+                               ranges=ParamRanges(frequency=(1e-300, 1e-300)),
+                               transient_mix={"feeder_switch": 1.0}),
+}
+
+
+class TestChunkedSynthesis:
+    @pytest.fixture(autouse=True)
+    def quiet_scenario(self, monkeypatch):
+        monkeypatch.setitem(SCENARIOS, "quiet", QUIET)
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_dataset_equals_per_window_reference(self, case):
+        cfg = REFERENCE_CASES[case]
+        want = [ref_generate_window(cfg, cfg.seed, i) for i in range(cfg.count)]
+        assert_same_windows(build_dataset(cfg).windows, want)
+
+    @pytest.mark.parametrize("count", [2, CHUNK_WINDOWS - 1, CHUNK_WINDOWS, CHUNK_WINDOWS + 1])
+    def test_every_chunk_split_equals_the_reference(self, count):
+        cfg = dataclasses.replace(profiles.CASE2_GEN, count=count)
+        want = [ref_generate_window(cfg, cfg.seed, i) for i in range(count)]
+        assert_same_windows(build_dataset(cfg).windows, want)
+
+    def test_late_inception_case_reaches_past_the_window(self):
+        cfg = REFERENCE_CASES["late_inception"]
+        r = cfg.ranges
+        late = 0
+        for i in range(0, cfg.count, 2):
+            rng = _ref_rng([cfg.seed, i, 0])
+            rng.uniform(*r.loading)
+            spc = SAMPLING_RATE_HZ / rng.uniform(*r.frequency)
+            for _ in range(4):  # v_p, v_n, r_p, r_n
+                rng.uniform()
+            angle = rng.uniform(0.0, 2 * math.pi * 0.55)
+            late += int(round(angle / (2 * math.pi) * spc)) >= TARGET.window_length
+        assert 0 < late < cfg.count // 2
+
+    @pytest.mark.parametrize("kind", ["hif", "load_step", "capacitor_switch", "feeder_switch"])
+    def test_single_windows_equal_the_reference(self, kind):
+        for scenario in (SOURCE, TARGET, QUIET):
+            for seed in ([1, 2, 3], [5], [9, 9, 9, 9]):
+                if kind == "hif":
+                    p = make_params(v_p=0.2 * scenario.peak_voltage,
+                                    v_n=-0.3 * scenario.peak_voltage, inception_angle=2.0)
+                    got, want = synth_hif_window(scenario, p, seed), ref_hif_window(scenario, p, seed)
+                else:
+                    tp = TransientParams(_REF_KINDS[kind], 0.4, 1.5, 0.004, 500.0)
+                    got = synth_transient_window(scenario, tp, seed)
+                    want = ref_transient_window(scenario, tp, seed)
+                assert_same_windows([got], [want])
+
+    def test_generate_window_equals_dataset_across_a_chunk_boundary(self):
+        cfg = dataclasses.replace(profiles.CASE2_GEN, count=CHUNK_WINDOWS + 2)
+        windows = build_dataset(cfg).windows
+        for i in (0, CHUNK_WINDOWS - 2, CHUNK_WINDOWS - 1, CHUNK_WINDOWS, CHUNK_WINDOWS + 1):
+            assert_same_windows([generate_window(cfg, cfg.seed, i)], [windows[i]])
+
+    def test_windows_are_rows_of_one_block(self, small_dataset):
+        rows = [w.samples for w in small_dataset.windows]
+        assert all(r.base is not None and r.base is rows[0].base for r in rows)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_window_is_rejected(self):
+        # a loading range this wide overflows the load current to inf
+        cfg = GenConfig(scenario="source", count=4, seed=1,
+                        ranges=ParamRanges(loading=(1e307, 1e307)))
+        with pytest.raises(ConfigError, match="window 0: samples must be finite"):
+            build_dataset(cfg)
+
+    def test_case2_profile_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "case2.dataset"
+        write_dataset(build_dataset(profiles.CASE2_GEN), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == CASE2_SHA256
+
+
+CASE2_SHA256 = "1e83a4e81971c0c71c402970304a9806fdca10b67624fe90a68572a1f87ca887"

@@ -117,8 +117,7 @@ def _train_config(args, base: TrainConfig) -> TrainConfig:
 
 def cmd_gen(args) -> int:
     cfg = _load_gen_config(args)
-    cfg.validate()
-    dataset = build_dataset(cfg)
+    dataset = build_dataset(cfg)  # validates cfg before it allocates or writes anything
     out = Path(args.out)
     write_dataset(dataset, out)
     _write_manifest(out, "gen", cfg.to_dict(), {"master_seed": cfg.seed},
@@ -337,6 +336,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse's usage-error code, 2, is EXIT_CONFIG
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
+        for name in ("seed", "init_seed", "split_seed"):  # gen's range, its file's u64 field
+            if not 0 <= (getattr(args, name, None) or 0) < 2**64:
+                raise CliError(f"--{name.replace('_', '-')} must lie in [0, 2**64)", EXIT_CONFIG)
         return args.func(args)
     except CliError as exc:
         code, message = exc.code, str(exc)

@@ -10,7 +10,9 @@ Records are packed, 10 + 8 * window_length bytes each, and both directions move
 them CHUNK_WINDOWS at a time through one structured array, updating the CRC per
 chunk.  Writing therefore holds one chunk beyond the dataset itself, and reading
 holds one chunk beyond the (count, window_length) sample block that the
-returned windows are row views of; neither ever holds the whole file.
+returned windows are row views of; neither ever holds the whole file.  Reading
+notes each record's finiteness as its chunk arrives, and builds the windows
+only from a file whose every record is valid.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ import zlib
 import numpy as np
 
 from .fileio import write_atomic
-from .waveforms import (CHUNK_WINDOWS, SCENARIOS, Dataset, Label, NonFiniteRowError, SystemId,
-                        Window, _row_windows)
+from .waveforms import CHUNK_WINDOWS, SCENARIOS, Dataset, Label, SystemId, Window, _row_windows
 
 MAGIC = b"HIFDATA\x01"
 FORMAT_VERSION = 1
@@ -107,11 +108,12 @@ def write_dataset(d: Dataset, path) -> None:
 def _read_records(f, count: int, window_length: int, crc: int, path):
     """Read count records from f, CHUNK_WINDOWS at a time through one buffer.
 
-    Returns the CRC continued over them, their heads, and their samples as one
-    (count, window_length) block.
+    Returns the CRC continued over them, their heads, their samples as one
+    (count, window_length) block, and whether each record's samples are finite.
     """
     heads = np.empty(count, [("label", "u1"), ("scenario_id", "u1"), ("seed", "<u8")])
     block = np.empty((count, window_length))
+    finite = np.empty(count, bool)
     if count:  # with no records the size does not bound window_length, nor its dtype's size
         chunk = np.empty(min(count, CHUNK_WINDOWS), _record_dtype(window_length))
     for start in range(0, count, CHUNK_WINDOWS):
@@ -123,7 +125,8 @@ def _read_records(f, count: int, window_length: int, crc: int, path):
         rows = slice(start, start + len(records))
         heads[rows] = records[["label", "scenario_id", "seed"]]
         block[rows] = records["samples"]
-    return crc, heads, block
+        finite[rows] = np.isfinite(block[rows]).all(axis=1)
+    return crc, heads, block, finite
 
 
 def read_dataset(path) -> Dataset:
@@ -146,7 +149,7 @@ def read_dataset(path) -> Dataset:
                 f"{path}: expected {expected} bytes for {count} windows, found {size}"
             )
 
-        crc, heads, block = _read_records(
+        crc, heads, block, finite = _read_records(
             f, count, window_length, zlib.crc32(header), path)
         footer = f.read(_CRC.size)
     if len(footer) != _CRC.size:
@@ -157,18 +160,16 @@ def read_dataset(path) -> Dataset:
         raise DatasetFieldError(f"{path}: unknown scenario id {scenario_id}")
 
     # The first bad window names the error; within it, label and scenario before
-    # samples.  So the windows before the first unknown label or scenario are
-    # built (their samples checked), and only then is that window named.
+    # samples.
     labels, scenario_ids = heads["label"], heads["scenario_id"]
     known = np.isin(labels, list(_LABELS)) & np.isin(scenario_ids, list(_SYSTEM_IDS))
-    k = count if known.all() else int(known.argmin())
-    try:
-        windows = _row_windows(block[:k], [_LABELS[v] for v in labels[:k].tolist()],
-                               [_SYSTEM_IDS[v] for v in scenario_ids[:k].tolist()],
-                               heads["seed"][:k].tolist())
-    except NonFiniteRowError as exc:
-        raise DatasetFieldError(f"{path}: window {exc.index}: non-finite sample") from None
-    if k < count:
-        raise DatasetFieldError(
-            f"{path}: window {k}: label {labels[k]} or scenario id {scenario_ids[k]} unknown")
+    good = known & finite
+    if not good.all():
+        k = int(good.argmin())
+        if not known[k]:
+            raise DatasetFieldError(
+                f"{path}: window {k}: label {labels[k]} or scenario id {scenario_ids[k]} unknown")
+        raise DatasetFieldError(f"{path}: window {k}: non-finite sample")
+    windows = _row_windows(block, [_LABELS[v] for v in labels.tolist()],
+                           [_SYSTEM_IDS[v] for v in scenario_ids.tolist()], heads["seed"].tolist())
     return Dataset(windows, master_seed, _SCENARIO_BY_ID[scenario_id], gen_version)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -67,8 +68,9 @@ class TrainConfig:
             raise ValueError("epochs must be nonnegative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
+        for name in ("learning_rate", "momentum"):
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails both comparisons
+                raise ValueError(f"{name} must be a finite number >= 0")
         if not (0.0 < self.validation_fraction < 1.0):
             raise ValueError("validation_fraction must lie strictly between 0 and 1")
 

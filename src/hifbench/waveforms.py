@@ -10,7 +10,8 @@ perturbation of the two resistances every half cycle.
 Each window's random draws come from its own generators, made and drawn from
 one window at a time; the waveforms themselves are computed CHUNK_WINDOWS
 windows at a time, as rows of one array, by elementwise operations that give
-each row the bytes a per-window computation would.
+each row the bytes a per-window computation would.  Each chunk is checked
+finite once, as it is computed, and its windows are then built from its rows.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 
 GENERATOR_VERSION = 1
 
-GRID_FREQUENCY_HZ = 60.0
 SAMPLING_RATE_HZ = 15000.0
 WINDOW_LENGTH = 300
 NOISE_LEVEL = 0.02
@@ -63,8 +63,6 @@ class FeederScenario:
     system_id: SystemId
     peak_voltage: float
     base_load_current: float
-    loading_level: float = 1.0
-    grid_frequency: float = GRID_FREQUENCY_HZ
     sampling_rate: float = SAMPLING_RATE_HZ
     window_length: int = WINDOW_LENGTH
     noise_level: float = NOISE_LEVEL
@@ -73,26 +71,10 @@ class FeederScenario:
     saturation_max: float = 0.45
     am_depth_max: float = 0.22
 
-    def __post_init__(self):
-        if self.peak_voltage <= 0 or self.base_load_current <= 0:
-            raise ConfigError("peak_voltage and base_load_current must be positive")
-        if self.loading_level <= 0:
-            raise ConfigError("loading_level must be positive")
-        if self.sampling_rate <= 0 or self.window_length < 1:
-            raise ConfigError("invalid sampling parameters")
-        if self.noise_level < 0:
-            raise ConfigError("noise_level must be nonnegative")
-        if min(self.harmonic_max, self.saturation_max, self.am_depth_max) < 0:
-            raise ConfigError("texture bounds must be nonnegative")
-
-    @property
-    def samples_per_cycle(self) -> float:
-        return self.sampling_rate / self.grid_frequency
-
 
 # The two feeder profiles stand in for the data-rich and data-poor systems.
 # They differ in voltage class, load scale, and the parameter ranges used by
-# the dataset builder (see default_ranges).
+# the dataset builder (see profiles).
 SCENARIOS = {
     "source": FeederScenario(SystemId.SOURCE, peak_voltage=20000.0, base_load_current=40.0),
     "target": FeederScenario(SystemId.TARGET, peak_voltage=3400.0, base_load_current=25.0,
@@ -189,9 +171,6 @@ class Dataset:
             and self.windows == other.windows
         )
 
-    def count(self, label: Label) -> int:
-        return sum(1 for w in self.windows if w.label == label)
-
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Stack into (X, y) with y = 1 for HIF windows."""
         x = np.stack([w.samples for w in self.windows])
@@ -224,24 +203,12 @@ def add_noise(samples: np.ndarray, level: float, z: np.ndarray | None) -> np.nda
     return noisy if rms.all() else np.where(rms == 0.0, samples, noisy)
 
 
-class NonFiniteRowError(ConfigError):
-    """A window's samples are not all finite; index names the window."""
-
-    def __init__(self, index: int):
-        super().__init__(f"window {index}: samples must be finite")
-        self.index = index
-
-
 def _row_windows(block: np.ndarray, labels, scenario_ids, seeds) -> list[Window]:
     """Windows whose samples are the rows of a float64 (N, L) block.
 
-    The block is checked finite CHUNK_WINDOWS rows at a time, and a bad row
-    raises NonFiniteRowError; Window()'s own per-row check is not repeated.
+    The caller has checked every row finite, as it made or read the block, so
+    Window()'s own per-row check is not repeated.
     """
-    for start in range(0, len(block), CHUNK_WINDOWS):
-        part = block[start : start + CHUNK_WINDOWS]
-        if not np.isfinite(part).all():
-            raise NonFiniteRowError(start + int(np.isfinite(part).all(axis=1).argmin()))
     windows = []
     for row, label, scenario_id, seed in zip(block, labels, scenario_ids, seeds):
         w = object.__new__(Window)
@@ -338,8 +305,8 @@ class GenConfig:
     def validate(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario: {self.scenario!r}")
-        if self.count < 2:
-            raise ConfigError("count must be at least 2")
+        if not 2 <= self.count < 2**64:  # the dataset file stores it as a u64
+            raise ConfigError(f"count must lie in [2, 2**64), got {self.count}")
         if not 0 <= self.seed < 2**64:  # the dataset file stores it as a u64
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         self.ranges.validate()
@@ -442,13 +409,21 @@ def _synthesize(scenario: FeederScenario, jobs, count: int) -> list[Window]:
     window's loading level and grid frequency, its HifParams or TransientParams,
     and the SeedSequence of its synthesis draws.  The scenario gives every other
     field.  Draws are made window by window, in the order of the per-window law;
-    the waveforms are computed CHUNK_WINDOWS windows at a time into one block."""
-    block = np.empty((count, scenario.window_length))
+    the waveforms are computed CHUNK_WINDOWS windows at a time into one block,
+    each chunk checked finite as it is filled."""
+    try:
+        block = np.empty((count, scenario.window_length))
+    except (MemoryError, ValueError) as exc:  # ValueError: more elements than an index holds
+        raise ConfigError(f"count {count} is too large to allocate: {exc}") from None
     labels, seeds = [], []
     jobs = iter(jobs)
     for start in range(0, count, CHUNK_WINDOWS):
         chunk = [next(jobs) for _ in range(min(CHUNK_WINDOWS, count - start))]
-        _synthesize_chunk(scenario, chunk, block[start : start + len(chunk)], labels, seeds)
+        part = block[start : start + len(chunk)]
+        _synthesize_chunk(scenario, chunk, part, labels, seeds)
+        finite = np.isfinite(part).all(axis=1)
+        if not finite.all():
+            raise ConfigError(f"window {start + int(finite.argmin())}: samples must be finite")
     return _row_windows(block, labels, [scenario.system_id] * count, seeds)
 
 
@@ -475,7 +450,7 @@ def _synthesize_chunk(scenario: FeederScenario, jobs, out: np.ndarray, labels: l
     groups = [[], [], [], []]  # HIF windows, then one group per TransientKind
     for j, (loading, frequency, p, seq) in enumerate(jobs):
         if loading <= 0:
-            raise ConfigError("loading_level must be positive")
+            raise ConfigError("loading must be positive")
         is_hif = isinstance(p, HifParams)
         if is_hif:
             p.validate(scenario.peak_voltage)
@@ -609,18 +584,6 @@ def _dataset_jobs(config: GenConfig, master_seed: int, indices):
 def generate_window(config: GenConfig, master_seed: int, index: int) -> Window:
     """Window `index` of the dataset: pure in (config, master_seed, index)."""
     return _synthesize(SCENARIOS[config.scenario], _dataset_jobs(config, master_seed, [index]), 1)[0]
-
-
-def synth_hif_window(scenario: FeederScenario, p: HifParams, rng_seed) -> Window:
-    """One labeled HIF window: load current + faulted diode-model current + noise."""
-    job = (scenario.loading_level, scenario.grid_frequency, p, np.random.SeedSequence(rng_seed))
-    return _synthesize(scenario, [job], 1)[0]
-
-
-def synth_transient_window(scenario: FeederScenario, tp: TransientParams, rng_seed) -> Window:
-    """One labeled normal-transient window (load step, capacitor or feeder switch)."""
-    job = (scenario.loading_level, scenario.grid_frequency, tp, np.random.SeedSequence(rng_seed))
-    return _synthesize(scenario, [job], 1)[0]
 
 
 def build_dataset(config: GenConfig, master_seed: int | None = None) -> Dataset:

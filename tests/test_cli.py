@@ -233,6 +233,52 @@ class TestTrainEvalPipeline:
         assert not (tmp_path / "m.ckpt").exists()
 
 
+class TestFlagValues:
+    @pytest.fixture()
+    def argv_of(self, dataset_file, tmp_path):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(TINY_MLP, 0), {}, ckpt)
+        out = ["--out", tmp_path / "x.ckpt"]
+        return {"train": ["train", "--data", dataset_file, "--model", "mlp", *out],
+                "finetune": ["finetune", "--ckpt", ckpt, "--data", dataset_file, *out],
+                "eval": ["eval", "--ckpt", ckpt, "--data", dataset_file],
+                "gradcheck": ["gradcheck", "--model", "mlp"]}
+
+    @pytest.mark.parametrize("command,flags", [
+        ("train", ["--seed", -1]),
+        ("train", ["--init-seed", -1]),
+        ("train", ["--split-seed", -1]),
+        ("train", ["--seed", 2**64]),
+        ("finetune", ["--scratch", "--init-seed", -2]),
+        ("eval", ["--holdout", "--split-seed", -3]),
+        ("gradcheck", ["--seed", -1]),
+    ], ids=["train-seed", "train-init-seed", "train-split-seed", "train-seed-2**64",
+            "finetune-init-seed", "eval-split-seed", "gradcheck-seed"])
+    def test_seed_outside_u64_is_config_error(self, argv_of, tmp_path, capsys, command, flags):
+        assert run_cli(*argv_of[command], *flags) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"error: {flags[-2]} must lie in [0, 2**64)" in err and "Traceback" not in err
+        assert not (tmp_path / "x.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["train", "finetune"])
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-1"])
+    def test_lr_must_be_finite_and_nonnegative(self, argv_of, tmp_path, capsys, command, lr):
+        assert run_cli(*argv_of[command], "--epochs", 1, "--lr", lr) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "error: bad training config: learning_rate" in err and "Traceback" not in err
+        assert not (tmp_path / "x.ckpt").exists()
+
+    # counts whose block allocation fails at once: none may be one that could succeed
+    @pytest.mark.parametrize("count", [10**12, 2**63, 2**64])
+    def test_gen_count_too_large_is_config_error(self, tmp_path, capsys, count):
+        out = tmp_path / "x.dataset"
+        assert run_cli("gen", "--profile", "case2", "--count", count,
+                       "--out", out) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "count" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+
 class TestFinetune:
     def test_finetune_runs(self, dataset_file, tmp_path):
         src = tmp_path / "src.ckpt"

@@ -173,6 +173,7 @@ def test_checksum_is_checked_before_fields(small_dataset, tmp_path):
     (CHUNK_WINDOWS + 5, CHUNK_WINDOWS + 9, CHUNK_WINDOWS + 5),
     (CHUNK_WINDOWS + 9, CHUNK_WINDOWS + 5, CHUNK_WINDOWS + 5),
     (CHUNK_WINDOWS + 5, CHUNK_WINDOWS + 5, CHUNK_WINDOWS + 5),
+    (2 * CHUNK_WINDOWS + 3, CHUNK_WINDOWS + 7, CHUNK_WINDOWS + 7),  # NaN and label in chunks 1, 2
 ])
 def test_field_error_names_first_bad_window(tmp_path, bad_label, nan_sample, named):
     d = synthetic_dataset(2 * CHUNK_WINDOWS + 10, window_length=20)

@@ -37,6 +37,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             quick_config(validation_fraction=1.0)
 
+    @pytest.mark.parametrize("name", ["learning_rate", "momentum"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9])
+    def test_rates_must_be_finite_and_nonnegative(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            quick_config(**{name: value})
+
     def test_zero_epochs_allowed(self):
         assert quick_config(epochs=0).epochs == 0
 

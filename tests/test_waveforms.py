@@ -24,17 +24,27 @@ from hifbench.waveforms import (
     TransientKind,
     TransientParams,
     Window,
+    _synthesize,
     add_noise,
     build_dataset,
     generate_window,
     hif_current,
     split,
-    synth_hif_window,
-    synth_transient_window,
 )
 
 SOURCE = SCENARIOS["source"]
 TARGET = SCENARIOS["target"]
+# a single window's loading level and grid frequency, unless a test says otherwise
+LOADING, FREQUENCY = 1.0, 60.0
+
+
+def job(p, seed, loading=LOADING, frequency=FREQUENCY):
+    """A synthesis job: loading, frequency, event parameters and draw seed."""
+    return loading, frequency, p, np.random.SeedSequence(seed)
+
+
+def synth(scenario, p, seed, loading=LOADING, frequency=FREQUENCY) -> Window:
+    return _synthesize(scenario, [job(p, seed, loading, frequency)], 1)[0]
 
 
 def make_params(**overrides) -> HifParams:
@@ -164,25 +174,25 @@ class TestAddNoise:
 class TestSynthesis:
     def test_hif_window_deterministic_in_seed(self):
         p = make_params()
-        a = synth_hif_window(SOURCE, p, [1, 2, 3])
-        b = synth_hif_window(SOURCE, p, [1, 2, 3])
+        a = synth(SOURCE, p, [1, 2, 3])
+        b = synth(SOURCE, p, [1, 2, 3])
         assert a == b
 
     def test_different_seeds_differ(self):
         p = make_params()
-        a = synth_hif_window(SOURCE, p, [1, 2, 3])
-        b = synth_hif_window(SOURCE, p, [1, 2, 4])
+        a = synth(SOURCE, p, [1, 2, 3])
+        b = synth(SOURCE, p, [1, 2, 4])
         assert not np.array_equal(a.samples, b.samples)
 
     def test_window_shape_and_label(self):
-        w = synth_hif_window(TARGET, make_params(v_p=800.0, v_n=-700.0), [5])
+        w = synth(TARGET, make_params(v_p=800.0, v_n=-700.0), [5])
         assert w.label is Label.HIF
         assert w.scenario_id is SystemId.TARGET
         assert w.samples.shape == (TARGET.window_length,)
 
     def test_transient_window_label(self):
         tp = TransientParams(TransientKind.LOAD_STEP, 0.5, 1.0)
-        w = synth_transient_window(SOURCE, tp, [6])
+        w = synth(SOURCE, tp, [6])
         assert w.label is Label.NORMAL
 
     def test_load_step_raises_later_amplitude(self):
@@ -190,8 +200,8 @@ class TestSynthesis:
                                     harmonic_max=0.0, saturation_max=0.0,
                                     am_depth_max=0.0)
         tp = TransientParams(TransientKind.LOAD_STEP, 1.0, 0.0)
-        stepped = synth_transient_window(quiet, tp, [7]).samples
-        flat = synth_transient_window(
+        stepped = synth(quiet, tp, [7]).samples
+        flat = synth(
             quiet, TransientParams(TransientKind.LOAD_STEP, 0.0, 0.0), [7]
         ).samples
         assert np.max(np.abs(stepped)) > 1.5 * np.max(np.abs(flat))
@@ -201,11 +211,11 @@ class TestSynthesis:
                                     harmonic_max=0.0, saturation_max=0.0,
                                     am_depth_max=0.0)
         tp = TransientParams(TransientKind.FEEDER_SWITCH, 0.2, 0.0)
-        dropped = synth_transient_window(quiet, tp, [8]).samples
-        baseline = synth_transient_window(
+        dropped = synth(quiet, tp, [8]).samples
+        baseline = synth(
             quiet, TransientParams(TransientKind.LOAD_STEP, 0.0, 0.0), [8]
         ).samples
-        dur = int(round(0.2 * quiet.samples_per_cycle))
+        dur = int(round(0.2 * (SAMPLING_RATE_HZ / FREQUENCY)))
         assert np.allclose(dropped[:dur], 0.05 * baseline[:dur])
         assert np.array_equal(dropped[dur:], baseline[dur:])
 
@@ -228,8 +238,8 @@ class TestGenerate:
             assert again == small_dataset.windows[i]
 
     def test_dataset_is_balanced(self, small_dataset):
-        assert small_dataset.count(Label.HIF) == 20
-        assert small_dataset.count(Label.NORMAL) == 20
+        labels = [w.label for w in small_dataset.windows]
+        assert labels.count(Label.HIF) == labels.count(Label.NORMAL) == 20
 
     def test_build_dataset_deterministic(self, small_config, small_dataset):
         assert build_dataset(small_config) == small_dataset
@@ -283,8 +293,8 @@ class TestSplit:
     def test_stratified_and_disjoint(self, small_dataset):
         left, right = split(small_dataset, 0.8, 99)
         assert len(left) == 32 and len(right) == 8
-        assert left.count(Label.HIF) == 16
-        assert right.count(Label.HIF) == 4
+        assert [w.label for w in left.windows].count(Label.HIF) == 16
+        assert [w.label for w in right.windows].count(Label.HIF) == 4
         seeds = [w.generation_seed for w in left.windows + right.windows]
         assert len(set(seeds)) == len(seeds)
 
@@ -318,10 +328,10 @@ def _ref_add_noise(samples, level, rng):
     return samples + rng.normal(0.0, level * rms, size=samples.shape)
 
 
-def _ref_base_waves(scenario, rng):
+def _ref_base_waves(scenario, loading, frequency, rng):
     t = np.arange(scenario.window_length) / scenario.sampling_rate
     phase0 = rng.uniform(0.0, 2 * math.pi)
-    phase = 2 * math.pi * scenario.grid_frequency * t + phase0
+    phase = 2 * math.pi * frequency * t + phase0
     voltage = scenario.peak_voltage * np.sin(phase)
     fundamental = np.sin(phase)
     shape = fundamental.copy()
@@ -335,12 +345,12 @@ def _ref_base_waves(scenario, rng):
     am_freq = rng.uniform(1.0, 8.0)
     am_phase = rng.uniform(0.0, 2 * math.pi)
     shape = shape * (1.0 + depth * np.sin(2 * math.pi * am_freq * t + am_phase))
-    load = scenario.loading_level * scenario.base_load_current * shape
+    load = loading * scenario.base_load_current * shape
     return t, phase, voltage, load
 
 
-def _ref_inception(scenario, angle):
-    return min(int(round(angle / (2 * math.pi) * scenario.samples_per_cycle)),
+def _ref_inception(scenario, frequency, angle):
+    return min(int(round(angle / (2 * math.pi) * (scenario.sampling_rate / frequency))),
                scenario.window_length)
 
 
@@ -348,11 +358,11 @@ def _ref_seed(rng_seed):
     return int(np.random.SeedSequence(rng_seed).generate_state(1, np.uint64)[0])
 
 
-def ref_hif_window(scenario, p, rng_seed):
+def ref_hif_window(scenario, loading, frequency, p, rng_seed):
     p.validate(scenario.peak_voltage)
     rng = _ref_rng(rng_seed)
-    t, phase, voltage, load = _ref_base_waves(scenario, rng)
-    k0 = _ref_inception(scenario, p.inception_angle)
+    t, phase, voltage, load = _ref_base_waves(scenario, loading, frequency, rng)
+    k0 = _ref_inception(scenario, frequency, p.inception_angle)
     fault = np.zeros(scenario.window_length)
     if k0 < scenario.window_length:
         half_ids = np.floor(phase[k0:] / math.pi).astype(np.int64)
@@ -366,11 +376,11 @@ def ref_hif_window(scenario, p, rng_seed):
     return Window(samples, Label.HIF, scenario.system_id, _ref_seed(rng_seed))
 
 
-def ref_transient_window(scenario, tp, rng_seed):
+def ref_transient_window(scenario, loading, frequency, tp, rng_seed):
     tp.validate()
     rng = _ref_rng(rng_seed)
-    t, phase, voltage, load = _ref_base_waves(scenario, rng)
-    k0 = _ref_inception(scenario, tp.inception_angle)
+    t, phase, voltage, load = _ref_base_waves(scenario, loading, frequency, rng)
+    k0 = _ref_inception(scenario, frequency, tp.inception_angle)
     clean = load.copy()
     if k0 < scenario.window_length:
         if tp.kind == TransientKind.LOAD_STEP:
@@ -381,7 +391,7 @@ def ref_transient_window(scenario, tp, rng_seed):
             clean[k0:] += (amp * np.exp(-dt / tp.damping_time_constant)
                            * np.sin(2 * math.pi * tp.oscillation_frequency * dt))
         else:
-            dur = max(1, int(round(tp.magnitude * scenario.samples_per_cycle)))
+            dur = max(1, int(round(tp.magnitude * (scenario.sampling_rate / frequency))))
             clean[k0 : k0 + dur] *= 0.05
     samples = _ref_add_noise(clean, scenario.noise_level, rng)
     return Window(samples, Label.NORMAL, scenario.system_id, _ref_seed(rng_seed))
@@ -393,12 +403,11 @@ _REF_KINDS = {"load_step": TransientKind.LOAD_STEP,
 
 
 def ref_generate_window(config, master_seed, index):
-    base = SCENARIOS[config.scenario]
+    scenario = SCENARIOS[config.scenario]
     r = config.ranges
     rng = _ref_rng([master_seed, index, 0])
     loading = rng.uniform(*r.loading)
     frequency = rng.uniform(*r.frequency)
-    scenario = dataclasses.replace(base, loading_level=loading, grid_frequency=frequency)
     seed = [master_seed, index, 1]
     span = 2 * math.pi * 0.55
     if index % 2 == 0:
@@ -406,7 +415,7 @@ def ref_generate_window(config, master_seed, index):
                       v_n=-rng.uniform(*r.v_n) * scenario.peak_voltage,
                       r_p=rng.uniform(*r.r_p), r_n=rng.uniform(*r.r_n),
                       inception_angle=rng.uniform(0.0, span), arc_jitter=rng.uniform(*r.jitter))
-        return ref_hif_window(scenario, p, seed)
+        return ref_hif_window(scenario, loading, frequency, p, seed)
     names = sorted(config.transient_mix)
     weights = np.array([config.transient_mix[n] for n in names], dtype=np.float64)
     kind = _REF_KINDS[names[rng.choice(len(names), p=weights / weights.sum())]]
@@ -419,7 +428,7 @@ def ref_generate_window(config, master_seed, index):
                              oscillation_frequency=rng.uniform(300.0, 900.0))
     else:
         tp = TransientParams(kind, rng.uniform(0.1, 0.5), angle)
-    return ref_transient_window(scenario, tp, seed)
+    return ref_transient_window(scenario, loading, frequency, tp, seed)
 
 
 def assert_same_windows(got, want):
@@ -489,12 +498,11 @@ class TestChunkedSynthesis:
                 if kind == "hif":
                     p = make_params(v_p=0.2 * scenario.peak_voltage,
                                     v_n=-0.3 * scenario.peak_voltage, inception_angle=2.0)
-                    got, want = synth_hif_window(scenario, p, seed), ref_hif_window(scenario, p, seed)
+                    want = ref_hif_window(scenario, LOADING, FREQUENCY, p, seed)
                 else:
-                    tp = TransientParams(_REF_KINDS[kind], 0.4, 1.5, 0.004, 500.0)
-                    got = synth_transient_window(scenario, tp, seed)
-                    want = ref_transient_window(scenario, tp, seed)
-                assert_same_windows([got], [want])
+                    p = TransientParams(_REF_KINDS[kind], 0.4, 1.5, 0.004, 500.0)
+                    want = ref_transient_window(scenario, LOADING, FREQUENCY, p, seed)
+                assert_same_windows([synth(scenario, p, seed)], [want])
 
     def test_generate_window_equals_dataset_across_a_chunk_boundary(self):
         cfg = dataclasses.replace(profiles.CASE2_GEN, count=CHUNK_WINDOWS + 2)
@@ -513,6 +521,18 @@ class TestChunkedSynthesis:
                         ranges=ParamRanges(loading=(1e307, 1e307)))
         with pytest.raises(ConfigError, match="window 0: samples must be finite"):
             build_dataset(cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_first_non_finite_window_past_the_first_chunk_is_named(self):
+        # two overflowing windows in the second chunk, and in the third a window
+        # whose parameters are invalid: the chunk that fails first names the error
+        p = make_params()
+        jobs = [job(p, [i]) for i in range(2 * CHUNK_WINDOWS + 2)]
+        for i in (CHUNK_WINDOWS + 3, CHUNK_WINDOWS + 7):
+            jobs[i] = job(p, [i], loading=1e307)
+        jobs[2 * CHUNK_WINDOWS + 1] = job(make_params(r_p=50.0), [0])
+        with pytest.raises(ConfigError, match=f"window {CHUNK_WINDOWS + 3}: samples must be finite"):
+            _synthesize(SOURCE, jobs, len(jobs))
 
     def test_case2_profile_bytes_are_pinned(self, tmp_path):
         path = tmp_path / "case2.dataset"

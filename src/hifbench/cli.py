@@ -70,20 +70,19 @@ def _sha256(path) -> str:
 
 
 def _load_gen_config(args) -> GenConfig:
+    """The profile or config file, with --seed and --count applied before a
+    config file is checked, so that they can replace its invalid values."""
+    overrides = {key: value for key, value in (("seed", args.seed), ("count", args.count))
+                 if value is not None}
     if args.profile:
-        cfg = profiles.GEN_PROFILES[args.profile]
-    elif args.config:
+        return dataclasses.replace(profiles.GEN_PROFILES[args.profile], **overrides)
+    if args.config:
         try:
-            cfg = GenConfig.from_json(Path(args.config).read_text())
+            text = Path(args.config).read_text()
         except OSError as exc:
             raise CliError(f"cannot read config: {exc}", EXIT_CONFIG) from exc
-    else:
-        raise CliError("gen needs --profile or --config", EXIT_USAGE)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    if args.count is not None:
-        cfg = dataclasses.replace(cfg, count=args.count)
-    return cfg
+        return GenConfig.from_json(text, overrides)
+    raise CliError("gen needs --profile or --config", EXIT_USAGE)
 
 
 def _model_spec(name: str):

@@ -3,12 +3,19 @@
 The *_batch functions operate on (batch, channels, length) arrays; training,
 inference and the gradient checks run them.  The conv activations and
 gradients they return are views of channels-last (B, L, C) buffers, the
-layout in which im2col rows and matmul outputs lie.  conv_forward is the one
-single-sample kernel, kept as an oracle: it accumulates on a (channels,
-length) array in a fixed order (innermost kernel index fastest), so it is
-bit-equal to a naive nested-loop evaluation.  Batched conv goes through
-im2col-style matmuls, whose summation order cannot be fixed, so it agrees
-with conv_forward only to floating-point roundoff.
+layout in which im2col rows and matmul outputs lie.  The conv, ReLU and pool
+kernels can write into buffers their caller allocated (the keyword arguments
+out, cols, offset and d_cols): models runs them on two window halves at
+once, each half filling its rows.  They give a window's rows the same bytes
+whatever other windows share the call (the conv matmuls, with OpenBLAS, in
+calls of 2 or more windows).  The dense matmuls do not, and the conv weight
+and bias gradients sum over the windows, so those run on the whole batch.
+
+conv_forward is the one single-sample kernel, kept as an oracle: it
+accumulates on a (channels, length) array in a fixed order (innermost kernel
+index fastest), so it is bit-equal to a naive nested-loop evaluation.
+Batched conv goes through im2col-style matmuls, whose summation order cannot
+be fixed, so it agrees with conv_forward only to floating-point roundoff.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 EPS_PROB = 1e-12
 
@@ -92,15 +98,15 @@ def conv_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     return out
 
 
-def relu_forward(x: np.ndarray) -> np.ndarray:
-    return np.maximum(0.0, np.asarray(x, dtype=np.float64))
+def relu_forward(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(0.0, np.asarray(x, dtype=np.float64), out=out)
 
 
-def relu_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
+def relu_backward(grad_out: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if grad_out.shape != np.shape(x):
         raise ShapeError("gradient shape does not match cached input")
-    return grad_out * (np.asarray(x) > 0)
+    return np.multiply(grad_out, np.asarray(x) > 0, out=out)
 
 
 def sigmoid(x):
@@ -143,48 +149,72 @@ def sigmoid_bce_backward(y_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def conv_forward_batch(x: np.ndarray, layer: ConvLayer) -> tuple[np.ndarray, np.ndarray]:
-    """Batched conv on (B, C, L); returns (output, im2col cache for backward)."""
+def conv_forward_batch(x: np.ndarray, layer: ConvLayer, *, cols: np.ndarray | None = None,
+                       out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Batched conv on (B, C, L); returns (output, im2col cache for backward).
+
+    cols (B*T, C*K) and out (B, T, out_channels), C-contiguous, receive the
+    im2col matrix and the channels-last output when given.
+    """
     b, c, length = x.shape
     if c != layer.in_channels or length < layer.kernel_size:
         raise ShapeError("batched input incompatible with conv layer")
-    out_len = conv_output_length(length, layer.kernel_size)
-    # row b*T + t is x[b, :, t : t + K], in the weights' (C, K) order
-    cols = sliding_window_view(x.transpose(0, 2, 1), layer.kernel_size, axis=1)
-    cols = cols.reshape(b * out_len, -1)
-    out = cols @ layer.weights.reshape(layer.out_channels, -1).T
-    out += layer.bias  # in place: `+ bias` would allocate a second (B*T, O) array
-    return out.reshape(b, out_len, layer.out_channels).transpose(0, 2, 1), cols
+    k = layer.kernel_size
+    out_len = conv_output_length(length, k)
+    # row b*T + t is x[b, :, t : t + K], in the weights' (C, K) order: one
+    # strided write per kernel offset
+    cols = np.empty((b * out_len, c * k)) if cols is None else cols
+    slabs = cols.reshape(b, out_len, c, k)
+    x_last = x.transpose(0, 2, 1)
+    for i in range(k):
+        slabs[..., i] = x_last[:, i : i + out_len]
+    out = np.empty((b, out_len, layer.out_channels)) if out is None else out
+    rows = out.reshape(b * out_len, -1)
+    np.matmul(cols, layer.weights.reshape(layer.out_channels, -1).T, out=rows)
+    rows += layer.bias
+    return out.transpose(0, 2, 1), cols
 
 
 def conv_backward_batch(
-    grad_out: np.ndarray, cols: np.ndarray, layer: ConvLayer, input_shape: tuple,
-    input_grad: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(d_weights, d_bias, d_input); d_input is None when input_grad is False."""
+    grad_out: np.ndarray, cols: np.ndarray | None, layer: ConvLayer, input_shape: tuple,
+    input_grad: bool = True, *, d_cols: np.ndarray | None = None, out: np.ndarray | None = None,
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+    """(d_weights, d_bias, d_input).
+
+    d_weights and d_bias, which sum over every window, are None when cols is
+    None; d_input is None when input_grad is False.  d_cols (B*T, C*K) and
+    out (B, L, C), C-contiguous, receive the input gradient's im2col matrix
+    and the channels-last input gradient when given.
+    """
     b, _, out_len = grad_out.shape
     g_mat = grad_out.transpose(0, 2, 1).reshape(b * out_len, -1)
-    d_w = (g_mat.T @ cols).reshape(layer.weights.shape)
-    d_b = g_mat.sum(axis=0)
-    if not input_grad:
-        return d_w, d_b, None
-    d_cols = (g_mat @ layer.weights.reshape(layer.out_channels, -1)).reshape(
-        b, out_len, layer.in_channels, layer.kernel_size
-    )
-    d_x = np.zeros((b, input_shape[2], layer.in_channels))
-    for i in range(layer.kernel_size):
-        d_x[:, i : i + out_len] += d_cols[..., i]
-    return d_w, d_b, d_x.transpose(0, 2, 1)
+    d_w = d_b = d_x = None
+    if cols is not None:
+        d_w = (g_mat.T @ cols).reshape(layer.weights.shape)
+        d_b = g_mat.sum(axis=0)
+    if input_grad:
+        if d_cols is None:
+            d_cols = np.empty((b * out_len, layer.in_channels * layer.kernel_size))
+        np.matmul(g_mat, layer.weights.reshape(layer.out_channels, -1), out=d_cols)
+        slabs = d_cols.reshape(b, out_len, layer.in_channels, layer.kernel_size)
+        d_x = np.empty((b, input_shape[2], layer.in_channels)) if out is None else out
+        d_x.fill(0.0)
+        for i in range(layer.kernel_size):
+            d_x[:, i : i + out_len] += slabs[..., i]
+        d_x = d_x.transpose(0, 2, 1)
+    return d_w, d_b, d_x
 
 
 def maxpool_forward_batch(
-    x: np.ndarray, width: int, stride: int
+    x: np.ndarray, width: int, stride: int, *, out: np.ndarray | None = None,
+    offset: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched max pool on (B, C, L); returns (output, winning offset in each window).
 
     Window t covers x[..., t*stride : t*stride + width]; its offset is the
     position of its maximum within it, the first one on ties, as argmax
-    picks it.
+    picks it.  out (float64) and offset (np.min_scalar_type(width - 1)), of
+    the output's shape in any layout, receive them when given.
     """
     x = np.asarray(x, dtype=np.float64)
     if width < 1 or stride < 1:
@@ -192,9 +222,14 @@ def maxpool_forward_batch(
     if width > x.shape[2]:
         raise ShapeError("pool width exceeds input length")
     span = (pool_output_length(x.shape[2], width, stride) - 1) * stride + 1
-    out = x[..., 0:span:stride].copy(order="K")  # in x's layout
+    if out is None:
+        out = x[..., 0:span:stride].copy(order="K")  # in x's layout
+    else:
+        np.copyto(out, x[..., 0:span:stride])
     out_bits = out.view(np.int64)
-    offset = np.zeros_like(out, dtype=np.min_scalar_type(width - 1))
+    if offset is None:
+        offset = np.empty_like(out, dtype=np.min_scalar_type(width - 1))
+    offset.fill(0)
     for i in range(1, width):
         cand = x[..., i : i + span : stride]
         # argmax's rule: a larger value wins, ties keep the earlier offset,
@@ -213,19 +248,23 @@ def maxpool_forward_batch(
 
 
 def maxpool_backward_batch(
-    grad_out: np.ndarray, offset: np.ndarray, input_length: int, width: int, stride: int
+    grad_out: np.ndarray, offset: np.ndarray, input_length: int, width: int, stride: int,
+    *, out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Route each window's gradient to its winning input position.
 
     Positions shared by overlapping windows receive the windows' gradients
     summed in window order, the order np.add.at would use, so the result has
     the same bytes (-0.0 gradients included, which the +0.0 start absorbs).
+    out, a (B, C, input_length) float64 array in any layout, receives the
+    result when given.
     """
     grad_out = np.asarray(grad_out, dtype=np.float64)
     b, c, out_len = grad_out.shape
     span = (out_len - 1) * stride + 1
     grad_bits = grad_out.view(np.int64)
-    d_x = np.zeros((b, input_length, c)).transpose(0, 2, 1)
+    d_x = np.empty((b, input_length, c)).transpose(0, 2, 1) if out is None else out
+    d_x.fill(0.0)
     # a later window reaches a given position through a smaller offset
     for i in range(width - 1, -1, -1):
         # the gradient where offset == i, +0.0 elsewhere, selected on the bits

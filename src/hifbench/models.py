@@ -4,20 +4,36 @@ architecture fingerprint (the transfer-learning handoff unit).
 
 A network is a list of stages, one per entry of layer_list: a conv block
 (conv -> ReLU -> max pool) or a dense layer (with a ReLU unless it is the
-output layer).  run_stage and stage_backward are the only forward and
-backward code: training, its frozen-feature store and the gradient checks
-all loop over them, starting at any stage k from that stage's input.
-Backward stops at the stage its forward pass started from.
-Features enter conv blocks T-major (a free view of channels-last activations)
-and the dense head C-major.
+output layer).  _conv_forward and _conv_backward run a chain of conv blocks,
+run_stage and stage_backward one stage; training, its frozen-feature store
+and the gradient checks all go through them, starting at any stage k from
+that stage's input.  Backward stops at the stage its forward pass started
+from.  Features enter conv blocks T-major (a free view of channels-last
+activations) and the dense head C-major.
+
+The per-window work of the conv blocks runs on two window halves at once,
+one on the calling thread and one on a single worker thread (_in_halves);
+the results have the same bytes as one pass over the whole batch:
+- OpenBLAS gives a window's conv rows the same bytes in any call of 2 or
+  more windows, and each half has at least 2 (batches of 2 or 3 windows run
+  as one part);
+- a dense matmul's rows depend on how many rows share the call, so dense
+  stages run on the whole batch;
+- the conv weight and bias gradients sum over the windows, so each is one
+  call on the whole batch.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import hashlib
 import json
 import math
+import os
+import queue
 import struct
+import threading
 import zlib
 from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
@@ -251,6 +267,242 @@ def standardize(x: np.ndarray) -> np.ndarray:
     return (x - mean) / std
 
 
+# ---------------------------------------------------------------------------
+# Window halves
+# ---------------------------------------------------------------------------
+
+
+class _Worker:
+    """One daemon thread that runs the calls put to it, in order."""
+
+    def __init__(self):
+        self.calls: queue.SimpleQueue = queue.SimpleQueue()
+        threading.Thread(target=self._serve, name="hifbench-half", daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            self._run(*self.calls.get())
+
+    @staticmethod
+    def _run(fn, reply) -> None:
+        # a frame of its own, so that the call's buffers are freed when it returns
+        try:
+            reply.put((fn(), None))
+        except BaseException as exc:  # handed to the caller, which raises it
+            reply.put((None, exc))
+
+
+_worker: _Worker | None = None
+_worker_lock = threading.Lock()
+
+
+def _forget_worker() -> None:
+    """A forked child inherits the worker object but not its thread."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _both(here, there) -> tuple:
+    """(here(), there()): there() runs on the one worker thread, started on
+    first use, in a copy of the caller's context (so np.errstate holds there
+    too), while here() runs on the calling thread."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = _Worker()
+        worker = _worker
+    reply: queue.SimpleQueue = queue.SimpleQueue()
+    worker.calls.put((functools.partial(contextvars.copy_context().run, there), reply))
+    try:
+        first = here()
+    except BaseException:
+        reply.get()  # the worker may still be writing into the caller's buffers
+        raise
+    second, exc = reply.get()
+    if exc is not None:
+        raise exc
+    return first, second
+
+
+def _in_halves(n: int, fn, split: bool = True) -> None:
+    """fn(lo, hi) over windows 0..n-1: windows [0, n//2) here and [n//2, n)
+    on the worker thread, or fn(0, n) here alone when n < 4 or not split.
+    Each part then has 2 windows or more, so OpenBLAS gives its conv rows
+    the bytes of one pass over all n."""
+    if n < 4 or not split:
+        fn(0, n)
+    else:
+        _both(lambda: fn(0, n // 2), lambda: fn(n // 2, n))
+
+
+def _rows(buf: np.ndarray, lo: int, hi: int, *shape: int) -> np.ndarray:
+    """Windows lo..hi-1 of a per-window buffer buf (n, width), as one
+    C-contiguous (hi - lo, *shape) array of each window's first prod(shape)
+    entries.  Parts of disjoint window ranges never overlap, so a buffer
+    as wide as the widest stage serves every stage."""
+    width = buf.shape[1]
+    return buf.reshape(-1)[lo * width : lo * width + (hi - lo) * math.prod(shape)].reshape(
+        hi - lo, *shape)
+
+
+def _conv_geometry(model: Model, stages: range, features: int) -> list[tuple[int, ...]]:
+    """(C, L, K, O, T, pooled length) of each conv stage, the first on inputs
+    of `features` values."""
+    geo = []
+    for i in stages:
+        layer = model.layer_list[i]
+        c, k, o = layer.in_channels, layer.kernel_size, layer.out_channels
+        length = features // c
+        t = L.conv_output_length(length, k)
+        geo.append((c, length, k, o, t, L.pool_output_length(t, *model.pool(i))))
+        features = o * geo[-1][5]
+    return geo
+
+
+def _own(n: int, sizes: list[int], dtype=np.float64) -> list[np.ndarray]:
+    """One (n, size) buffer per stage."""
+    return [np.empty((n, size), dtype) for size in sizes]
+
+
+def _shared(n: int, sizes: list[int], k: int = 1) -> list[np.ndarray]:
+    """k buffers as wide as the widest stage, taken by the stages in turn."""
+    bufs = [np.empty((n, max(sizes, default=0))) for _ in range(k)]
+    return [bufs[j % k] for j in range(len(sizes))]
+
+
+# ---------------------------------------------------------------------------
+# Stages
+# ---------------------------------------------------------------------------
+
+
+def _conv_forward(model: Model, h: np.ndarray, start: int, stop: int,
+                  caches: list | None) -> np.ndarray:
+    """Conv stages start..stop-1 on h (..., B, features): the output of stage
+    stop-1, (..., B, features').  With a list caches, appends each stage's
+    cache to it.
+
+    Each window half runs the whole chain into its rows of buffers allocated
+    here, on the calling thread (a worker's own malloc arena would add to the
+    process's peak memory).  A stacked input runs as one part.  Without
+    caches, the stages share their im2col and pre-activation buffers, the
+    ReLU runs in place, and the stage outputs alternate between two buffers.
+    """
+    n = math.prod(h.shape[:-1])
+    stages = range(start, stop)
+    geo = _conv_geometry(model, stages, h.shape[-1])
+    col_sizes = [t * c * k for c, _, k, _, t, _ in geo]
+    pre_sizes = [t * o for *_, o, t, _ in geo]
+    out_sizes = [o * tp for *_, o, _, tp in geo]
+    keep = caches is not None
+    if keep:
+        cols, pre, outs = _own(n, col_sizes), _own(n, pre_sizes), _own(n, out_sizes)
+        act = _shared(n, pre_sizes)
+    else:
+        cols, pre = _shared(n, col_sizes), _shared(n, pre_sizes)
+        act, outs = pre, _shared(n, out_sizes[:-1], 2) + _own(n, out_sizes[-1:])
+    offsets = [np.empty((n, size), np.min_scalar_type(model.pool(i)[0] - 1))
+               for i, size in zip(stages, out_sizes)]
+    x = h.reshape(n, -1)
+
+    def chain(lo, hi):
+        y, m = x[lo:hi], hi - lo
+        for j, (i, (c, length, k, o, t, tp)) in enumerate(zip(stages, geo)):
+            conv, _ = L.conv_forward_batch(
+                y.reshape(m, length, c).transpose(0, 2, 1), model.layer_list[i],
+                cols=_rows(cols[j], lo, hi, t * c, k).reshape(m * t, c * k),
+                out=_rows(pre[j], lo, hi, t, o))
+            relu = L.relu_forward(conv, _rows(act[j], lo, hi, t, o).transpose(0, 2, 1))
+            c_major = model.pool(i + 1) is None  # into the dense head
+            out = _rows(outs[j], lo, hi, *((o, tp) if c_major else (tp, o)))
+            L.maxpool_forward_batch(relu, *model.pool(i),
+                                    out=out if c_major else out.transpose(0, 2, 1),
+                                    offset=_rows(offsets[j], lo, hi, tp, o).transpose(0, 2, 1))
+            y = out.reshape(m, -1)
+
+    _in_halves(n, chain, split=h.ndim == 2)
+    if keep:
+        for j, (c, length, k, o, t, tp) in enumerate(geo):
+            caches.append((h, pre[j].reshape(n, t, o).transpose(0, 2, 1),
+                           cols[j].reshape(n * t, c * k),
+                           offsets[j].reshape(n, tp, o).transpose(0, 2, 1)))
+            h = outs[j]
+    return outs[-1].reshape(*h.shape[:-1], -1)
+
+
+def _conv_backward(model: Model, grad: np.ndarray, caches: list, start: int,
+                   input_grad: bool) -> tuple[list, np.ndarray | None]:
+    """([(d_weights, d_bias)] of conv stages start..start+len(caches)-1,
+    d_input of stage start or None) from grad (B, features), the gradient of
+    the last stage's output.  Overwrites each cache's pre-activation with
+    its gradient.
+
+    Each window half routes its gradient down the chain (pool, ReLU mask,
+    d_cols matmul, col2im) into its rows of buffers allocated here.  The
+    weight and bias gradients, which sum over the windows, are then one call
+    each on the whole batch: the stages are shared out between the two
+    threads, and the call that makes a stage's gradient is the same on
+    either.  As one part, each stage makes all three in one call.
+    """
+    n = len(grad)
+    stages = range(start, start + len(caches))
+    geo = _conv_geometry(model, stages, caches[0][0].shape[-1])
+    wants = [i > start or input_grad for i in stages]  # whose input gradient to make
+    # each stage's pool gradient, then, once the ReLU mask has moved it into
+    # the cache, the stage's d_cols
+    work = _shared(n, [t * max(o, c * k * w) for (c, _, k, o, t, _), w in zip(geo, wants)])[0]
+    d_in = [np.empty((n, length * c)) if w else None for (c, length, *_), w in zip(geo, wants)]
+    whole = n < 4
+    grads: list = [None] * len(stages)
+
+    def chain(lo, hi):
+        g, m = grad[lo:hi], hi - lo
+        for j in reversed(range(len(stages))):
+            i, (c, length, k, o, t, tp) = stages[j], geo[j]
+            _, pre, cols, offset = caches[j]
+            d_pre = L.maxpool_backward_batch(
+                model.channels(i, g), offset[lo:hi], t, *model.pool(i),
+                out=_rows(work, lo, hi, t, o).transpose(0, 2, 1))
+            d_pre = L.relu_backward(d_pre, pre[lo:hi], pre[lo:hi])
+            if not (whole or wants[j]):
+                break  # stage start: no input gradient, and its weight gradient needs both halves
+            buffers = {"d_cols": _rows(work, lo, hi, t * c, k).reshape(m * t, c * k),
+                       "out": _rows(d_in[j], lo, hi, length, c)} if wants[j] else {}
+            d_w, d_b, _ = L.conv_backward_batch(d_pre, cols if whole else None,
+                                                model.layer_list[i], (m, c, length), wants[j],
+                                                **buffers)
+            if whole:
+                grads[j] = (d_w, d_b)
+            g = d_in[j][lo:hi] if wants[j] else None
+
+    _in_halves(n, chain, split=not whole)
+    if not whole:
+        # the costliest reductions first, each to the less loaded thread
+        cost = [c * k * o * t for c, _, k, o, t, _ in geo]
+        shares, loads = ([], []), [0, 0]
+        for j in sorted(range(len(stages)), key=lambda j: -cost[j]):
+            lighter = loads.index(min(loads))
+            shares[lighter].append(j)
+            loads[lighter] += cost[j]
+
+        def reduce(share):
+            for j in share:
+                (c, length, *_), (_, d_pre, cols, _) = geo[j], caches[j]
+                grads[j] = L.conv_backward_batch(d_pre, cols, model.layer_list[stages[j]],
+                                                 (n, c, length), False)[:2]
+
+        _both(lambda: reduce(shares[0]), lambda: reduce(shares[1]))
+    return grads, d_in[0]
+
+
+def _n_conv(model: Model) -> int:
+    """Number of conv stages, which lead layer_list."""
+    return next((i for i in range(len(model.layer_list)) if model.pool(i) is None),
+                len(model.layer_list))
+
+
 def run_stage(model: Model, i: int, h: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Stage i on a stack h (..., B, features) of its inputs: (output, cache).
 
@@ -261,36 +513,28 @@ def run_stage(model: Model, i: int, h: np.ndarray) -> tuple[np.ndarray, tuple]:
     for a conv block, the im2col matrix and the pool offsets.
     """
     layer = model.layer_list[i]
-    pool = model.pool(i)
-    if pool is None:
+    if model.pool(i) is None:
         pre = L.dense_forward_batch(h, layer)
         out = L.relu_forward(pre) if i < len(model.layer_list) - 1 else pre
         return out, (h, pre)
-    x = h.reshape(-1, h.shape[-1] // layer.in_channels, layer.in_channels).transpose(0, 2, 1)
-    pre, cols = L.conv_forward_batch(x, layer)
-    out, offset = L.maxpool_forward_batch(L.relu_forward(pre), *pool)
-    out = out if model.pool(i + 1) is None else out.transpose(0, 2, 1)  # to T-major
-    return out.reshape(*h.shape[:-1], -1), (h, pre, cols, offset)
+    caches: list = []
+    out = _conv_forward(model, h, i, i + 1, caches)
+    return out, caches[0]
 
 
 def stage_backward(model: Model, i: int, grad: np.ndarray, cache: tuple,
                    input_grad: bool) -> tuple[tuple, np.ndarray | None]:
     """((d_weights, d_bias), d_input) of stage i from the gradient of its
-    output; d_input is None when input_grad is False."""
-    layer = model.layer_list[i]
-    pool = model.pool(i)
-    h, pre = cache[:2]
-    if pool is None:
-        if i < len(model.layer_list) - 1:
-            grad = L.relu_backward(grad, pre)
-        d_w, d_b, d_h = L.dense_backward_batch(grad, h, layer, input_grad)
-        return (d_w, d_b), d_h
-    cols, offset = cache[2:]
-    d_act = L.maxpool_backward_batch(model.channels(i, grad), offset, pre.shape[2], *pool)
-    d_pre = L.relu_backward(d_act, pre)
-    in_shape = (pre.shape[0], layer.in_channels, h.shape[-1] // layer.in_channels)
-    d_w, d_b, d_x = L.conv_backward_batch(d_pre, cols, layer, in_shape, input_grad)
-    return (d_w, d_b), None if d_x is None else d_x.transpose(0, 2, 1).reshape(h.shape)
+    output; d_input is None when input_grad is False.  A conv stage's cache
+    has its pre-activation overwritten by that pre-activation's gradient."""
+    if model.pool(i) is not None:
+        grads, d_h = _conv_backward(model, grad, [cache], i, input_grad)
+        return grads[0], d_h
+    h, pre = cache
+    if i < len(model.layer_list) - 1:
+        grad = L.relu_backward(grad, pre)
+    d_w, d_b, d_h = L.dense_backward_batch(grad, h, model.layer_list[i], input_grad)
+    return (d_w, d_b), d_h
 
 
 def run_stages(model: Model, h: np.ndarray, start: int = 0, stop: int | None = None,
@@ -301,14 +545,17 @@ def run_stages(model: Model, h: np.ndarray, start: int = 0, stop: int | None = N
     Stage 0's input is a (B, input_length) batch of raw windows, which are
     standardized before stage 0 runs.  With a list caches, appends each
     stage's cache to it.  Without, conv stages run in chunks of CONV_CHUNK
-    windows (never 1, so OpenBLAS gives one pass's bytes), dense stages unchunked.
+    windows (never 1, so OpenBLAS gives one pass's bytes), dense stages
+    unchunked.  Conv stages run on two window halves at once (see
+    _conv_forward); dense stages, whose matmul bytes depend on the batch,
+    run on the whole batch.
     """
     stop = len(model.layer_list) if stop is None else stop
     if start == 0 < stop:
         h = np.atleast_2d(np.asarray(h, dtype=np.float64))
         if h.shape[-1] != model.spec.input_length:
             raise L.ShapeError(f"windows must have {model.spec.input_length} samples")
-    dense = next((i for i in range(start, stop) if model.pool(i) is None), stop)
+    dense = max(start, min(stop, _n_conv(model)))
     if caches is None and dense > start and h.shape[-2] > CONV_CHUNK + 1:
         # a 1-window tail joins the last chunk; standardize works window by window
         parts = np.split(h, range(CONV_CHUNK, h.shape[-2] - 1, CONV_CHUNK), axis=-2)
@@ -316,7 +563,9 @@ def run_stages(model: Model, h: np.ndarray, start: int = 0, stop: int | None = N
         return run_stages(model, h, dense, stop)
     if start == 0 < stop:
         h = standardize(h)
-    for i in range(start, stop):
+    if dense > start:
+        h = _conv_forward(model, h, start, dense, caches)
+    for i in range(dense, stop):
         h, cache = run_stage(model, i, h)
         if caches is not None:
             caches.append(cache)
@@ -349,14 +598,18 @@ def backward_batch(model: Model, caches: list, probs: np.ndarray, y: np.ndarray)
 
     Backpropagation stops at the stage k the caches' forward pass started
     from: the layers below it get None, and stage k skips its input
-    gradient, which nothing reads.
+    gradient, which nothing reads.  The caches are used up: each conv
+    stage's pre-activation is overwritten by its gradient.
     """
     n = len(model.layer_list)
     start = n - len(caches)
+    dense = max(start, _n_conv(model))
     grads: list = [None] * n
     grad = L.sigmoid_bce_backward(probs, y)[:, None]
-    for i in range(n - 1, start - 1, -1):
+    for i in range(n - 1, dense - 1, -1):
         grads[i], grad = stage_backward(model, i, grad, caches[i - start], i > start)
+    if dense > start:
+        grads[start:dense], _ = _conv_backward(model, grad, caches[: dense - start], start, False)
     return grads
 
 

@@ -336,9 +336,12 @@ class GenConfig:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "GenConfig":
+    def from_dict(cls, d: dict, overrides: dict | None = None) -> "GenConfig":
+        """The config a document describes, with the values in overrides
+        replacing the document's before anything is checked."""
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
+        d = {**d, **(overrides or {})}
         allowed = {"scenario", "count", "seed", "ranges", "transient_mix"}
         unknown = set(d) - allowed
         if unknown:
@@ -359,12 +362,12 @@ class GenConfig:
         return cfg
 
     @classmethod
-    def from_json(cls, text: str) -> "GenConfig":
+    def from_json(cls, text: str, overrides: dict | None = None) -> "GenConfig":
         try:
             d = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return cls.from_dict(d)
+        return cls.from_dict(d, overrides)
 
 
 @functools.lru_cache(maxsize=16)

@@ -54,6 +54,26 @@ class TestGen:
     def test_missing_source_is_usage_error(self, tmp_path):
         assert run_cli("gen", "--out", tmp_path / "x") == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("flags, count, seed", [
+        (("--count", 4), 4, 3),
+        (("--seed", 9, "--count", 5), 5, 9),
+    ], ids=["count", "seed_and_count"])
+    def test_overrides_replace_config_values_before_the_check(self, tmp_path, flags, count, seed):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario": "target", "count": 1, "seed": 3}))
+        out = tmp_path / "x.dataset"
+        assert run_cli("gen", "--config", cfg, *flags, "--out", out) == cli.EXIT_OK
+        d = read_dataset(out)
+        assert (len(d), d.master_seed) == (count, seed)
+
+    def test_invalid_override_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario": "target", "count": 4, "seed": 3}))
+        out = tmp_path / "x.dataset"
+        assert run_cli("gen", "--config", cfg, "--count", 1, "--out", out) == cli.EXIT_CONFIG
+        assert "count must lie in [2, 2**64), got 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_json(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")

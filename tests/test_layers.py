@@ -99,6 +99,24 @@ class TestConvOracle:
             L.conv_forward(np.zeros((2, 2)), layer)  # shorter than kernel
 
 
+class TestIm2col:
+    def test_slab_writes_build_the_sliding_window_matrix(self):
+        """One write per kernel offset builds the matrix a sliding-window
+        copy builds, bit for bit, NaN and -0.0 included."""
+        rng = np.random.default_rng(11)
+        for _ in range(120):
+            b, c, k = rng.integers(1, 5), rng.integers(1, 9), rng.integers(1, 8)
+            length = k + rng.integers(0, 20)
+            x = rng.normal(size=(b, length, c))
+            x[rng.random(x.shape) < 0.1] = np.nan
+            x[rng.random(x.shape) < 0.1] = -0.0
+            x = x.transpose(0, 2, 1)  # channels-last, as the conv stages store it
+            layer = L.ConvLayer(rng.normal(size=(2, c, k)), np.zeros(2))
+            _, cols = L.conv_forward_batch(x, layer)
+            want = sliding_window_view(x.transpose(0, 2, 1), k, axis=1).reshape(cols.shape)
+            assert cols.tobytes() == want.tobytes()
+
+
 class TestConvBackward:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(7)

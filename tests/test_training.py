@@ -95,18 +95,22 @@ class TestTrainLoop:
         calls = []
         real = L.conv_forward_batch
 
-        def counting(x, layer):
+        def counting(x, layer, **buffers):
             calls.append(x.shape[0])
-            return real(x, layer)
+            return real(x, layer, **buffers)
 
         monkeypatch.setattr(L, "conv_forward_batch", counting)
         cfg = quick_config(freeze_conv=True)
         n_fit = len(split(small_dataset, 1.0 - cfg.validation_fraction, cfg.seed)[0])
         n_batches = -(-n_fit // cfg.batch_size)
+        # batch-sized chunks of the fit set and one pass over the validation
+        # set, each run as two window halves
+        n_calls = 2 * (n_batches + 1)
         for epochs in (1, 4):
             calls.clear()
             train(build_model(CNN_SPEC, 4), small_dataset, dataclasses.replace(cfg, epochs=epochs))
-            assert len(calls) == 4 * (n_batches + 1)
+            assert len(calls) == 4 * n_calls
+            assert sum(calls) == 4 * len(small_dataset)  # every window through every block once
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_raises(self, small_dataset):

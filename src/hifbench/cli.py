@@ -341,7 +341,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except CliError as exc:
         code, message = exc.code, str(exc)
-    except (ConfigError, ShapeError) as exc:  # ShapeError: windows of another length
+    # ShapeError: windows of another length; SpecError: a network too large to build
+    except (ConfigError, ShapeError, SpecError) as exc:
         code, message = EXIT_CONFIG, str(exc)
     except DivergenceError as exc:
         code, message = EXIT_DIVERGENCE, f"training diverged: {exc}"

@@ -5,11 +5,11 @@ architecture fingerprint (the transfer-learning handoff unit).
 A network is a list of stages, one per entry of layer_list: a conv block
 (conv -> ReLU -> max pool) or a dense layer (with a ReLU unless it is the
 output layer).  _conv_forward and _conv_backward run a chain of conv blocks,
-run_stage and stage_backward one stage; training, its frozen-feature store
-and the gradient checks all go through them, starting at any stage k from
-that stage's input.  Backward stops at the stage its forward pass started
-from.  Features enter conv blocks T-major (a free view of channels-last
-activations) and the dense head C-major.
+run_stage one stage.  run_stages and backward_batch run the list from any
+stage k, given that stage's input, and backward stops at the stage its
+forward pass started from; training, its frozen-feature store and the
+gradient checks all go through them.  Features enter conv blocks T-major (a
+free view of channels-last activations) and the dense head C-major.
 
 The per-window work of the conv blocks runs on two window halves at once,
 one on the calling thread and one on a single worker thread (_in_halves);
@@ -20,7 +20,7 @@ the results have the same bytes as one pass over the whole batch:
 - a dense matmul's rows depend on how many rows share the call, so dense
   stages run on the whole batch;
 - the conv weight and bias gradients sum over the windows, so each is one
-  call on the whole batch.
+  call on the whole batch, for a batch of any size.
 """
 
 from __future__ import annotations
@@ -140,6 +140,8 @@ class MlpSpec:
     def __post_init__(self):
         if len(self.hidden_dims) != 3 or any(h < 1 for h in self.hidden_dims):
             raise SpecError("the MLP has exactly 4 dense layers (3 hidden widths)")
+        if self.input_length < 1:
+            raise SpecError("input_length must be at least 1")
 
     @property
     def layer_dims(self) -> list[tuple[int, int]]:
@@ -203,6 +205,11 @@ class Model:
             return out.reshape(*out.shape[:-1], n_out, -1)
         return out.reshape(*out.shape[:-1], -1, n_out).swapaxes(-1, -2)
 
+    @property
+    def n_conv(self) -> int:
+        """Number of conv stages, which lead layer_list."""
+        return sum(isinstance(l, L.ConvLayer) for l in self.layer_list)
+
     def parameter_count(self) -> int:
         return sum(l.weights.size + l.bias.size for l in self.layer_list)
 
@@ -254,7 +261,10 @@ def build_model(spec, init_seed: int) -> Model:
     layer_list = []
     for cls, shape in _layer_shapes(spec):
         fan_in = math.prod(shape[1:])
-        w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+        try:
+            w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+        except (MemoryError, ValueError) as exc:  # ValueError: more elements than an index holds
+            raise SpecError(f"layer of shape {shape} is too large to allocate: {exc}") from None
         layer_list.append(cls(w, np.zeros(shape[0])))
     return Model(spec, layer_list)
 
@@ -442,9 +452,9 @@ def _conv_backward(model: Model, grad: np.ndarray, caches: list, start: int,
     Each window half routes its gradient down the chain (pool, ReLU mask,
     d_cols matmul, col2im) into its rows of buffers allocated here.  The
     weight and bias gradients, which sum over the windows, are then one call
-    each on the whole batch: the stages are shared out between the two
-    threads, and the call that makes a stage's gradient is the same on
-    either.  As one part, each stage makes all three in one call.
+    each on the whole batch: on the calling thread for fewer than 4 windows,
+    else shared out between the two threads, the call that makes a stage's
+    gradient being the same on either.
     """
     n = len(grad)
     stages = range(start, start + len(caches))
@@ -454,31 +464,35 @@ def _conv_backward(model: Model, grad: np.ndarray, caches: list, start: int,
     # the cache, the stage's d_cols
     work = _shared(n, [t * max(o, c * k * w) for (c, _, k, o, t, _), w in zip(geo, wants)])[0]
     d_in = [np.empty((n, length * c)) if w else None for (c, length, *_), w in zip(geo, wants)]
-    whole = n < 4
-    grads: list = [None] * len(stages)
 
     def chain(lo, hi):
         g, m = grad[lo:hi], hi - lo
         for j in reversed(range(len(stages))):
             i, (c, length, k, o, t, tp) = stages[j], geo[j]
-            _, pre, cols, offset = caches[j]
+            _, pre, _, offset = caches[j]
             d_pre = L.maxpool_backward_batch(
                 model.channels(i, g), offset[lo:hi], t, *model.pool(i),
                 out=_rows(work, lo, hi, t, o).transpose(0, 2, 1))
             d_pre = L.relu_backward(d_pre, pre[lo:hi], pre[lo:hi])
-            if not (whole or wants[j]):
-                break  # stage start: no input gradient, and its weight gradient needs both halves
-            buffers = {"d_cols": _rows(work, lo, hi, t * c, k).reshape(m * t, c * k),
-                       "out": _rows(d_in[j], lo, hi, length, c)} if wants[j] else {}
-            d_w, d_b, _ = L.conv_backward_batch(d_pre, cols if whole else None,
-                                                model.layer_list[i], (m, c, length), wants[j],
-                                                **buffers)
-            if whole:
-                grads[j] = (d_w, d_b)
-            g = d_in[j][lo:hi] if wants[j] else None
+            if not wants[j]:
+                break  # stage start, whose input gradient nothing reads
+            L.conv_backward_batch(d_pre, None, model.layer_list[i], (m, c, length), True,
+                                  d_cols=_rows(work, lo, hi, t * c, k).reshape(m * t, c * k),
+                                  out=_rows(d_in[j], lo, hi, length, c))
+            g = d_in[j][lo:hi]
 
-    _in_halves(n, chain, split=not whole)
-    if not whole:
+    _in_halves(n, chain)
+    grads: list = [None] * len(stages)
+
+    def reduce(share):
+        for j in share:
+            (c, length, *_), (_, d_pre, cols, _) = geo[j], caches[j]
+            grads[j] = L.conv_backward_batch(d_pre, cols, model.layer_list[stages[j]],
+                                             (n, c, length), False)[:2]
+
+    if n < 4:
+        reduce(range(len(stages)))
+    else:
         # the costliest reductions first, each to the less loaded thread
         cost = [c * k * o * t for c, _, k, o, t, _ in geo]
         shares, loads = ([], []), [0, 0]
@@ -486,21 +500,8 @@ def _conv_backward(model: Model, grad: np.ndarray, caches: list, start: int,
             lighter = loads.index(min(loads))
             shares[lighter].append(j)
             loads[lighter] += cost[j]
-
-        def reduce(share):
-            for j in share:
-                (c, length, *_), (_, d_pre, cols, _) = geo[j], caches[j]
-                grads[j] = L.conv_backward_batch(d_pre, cols, model.layer_list[stages[j]],
-                                                 (n, c, length), False)[:2]
-
         _both(lambda: reduce(shares[0]), lambda: reduce(shares[1]))
     return grads, d_in[0]
-
-
-def _n_conv(model: Model) -> int:
-    """Number of conv stages, which lead layer_list."""
-    return next((i for i in range(len(model.layer_list)) if model.pool(i) is None),
-                len(model.layer_list))
 
 
 def run_stage(model: Model, i: int, h: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -522,21 +523,6 @@ def run_stage(model: Model, i: int, h: np.ndarray) -> tuple[np.ndarray, tuple]:
     return out, caches[0]
 
 
-def stage_backward(model: Model, i: int, grad: np.ndarray, cache: tuple,
-                   input_grad: bool) -> tuple[tuple, np.ndarray | None]:
-    """((d_weights, d_bias), d_input) of stage i from the gradient of its
-    output; d_input is None when input_grad is False.  A conv stage's cache
-    has its pre-activation overwritten by that pre-activation's gradient."""
-    if model.pool(i) is not None:
-        grads, d_h = _conv_backward(model, grad, [cache], i, input_grad)
-        return grads[0], d_h
-    h, pre = cache
-    if i < len(model.layer_list) - 1:
-        grad = L.relu_backward(grad, pre)
-    d_w, d_b, d_h = L.dense_backward_batch(grad, h, model.layer_list[i], input_grad)
-    return (d_w, d_b), d_h
-
-
 def run_stages(model: Model, h: np.ndarray, start: int = 0, stop: int | None = None,
                caches: list | None = None) -> np.ndarray:
     """Output of stages start..stop-1 (to the end by default), which is the
@@ -555,7 +541,7 @@ def run_stages(model: Model, h: np.ndarray, start: int = 0, stop: int | None = N
         h = np.atleast_2d(np.asarray(h, dtype=np.float64))
         if h.shape[-1] != model.spec.input_length:
             raise L.ShapeError(f"windows must have {model.spec.input_length} samples")
-    dense = max(start, min(stop, _n_conv(model)))
+    dense = max(start, min(stop, model.n_conv))
     if caches is None and dense > start and h.shape[-2] > CONV_CHUNK + 1:
         # a 1-window tail joins the last chunk; standardize works window by window
         parts = np.split(h, range(CONV_CHUNK, h.shape[-2] - 1, CONV_CHUNK), axis=-2)
@@ -603,11 +589,15 @@ def backward_batch(model: Model, caches: list, probs: np.ndarray, y: np.ndarray)
     """
     n = len(model.layer_list)
     start = n - len(caches)
-    dense = max(start, _n_conv(model))
+    dense = max(start, model.n_conv)
     grads: list = [None] * n
     grad = L.sigmoid_bce_backward(probs, y)[:, None]
     for i in range(n - 1, dense - 1, -1):
-        grads[i], grad = stage_backward(model, i, grad, caches[i - start], i > start)
+        h, pre = caches[i - start]
+        if i < n - 1:  # the output layer has no ReLU
+            grad = L.relu_backward(grad, pre)
+        d_w, d_b, grad = L.dense_backward_batch(grad, h, model.layer_list[i], i > start)
+        grads[i] = (d_w, d_b)
     if dense > start:
         grads[start:dense], _ = _conv_backward(model, grad, caches[: dense - start], start, False)
     return grads

@@ -6,15 +6,18 @@ and gradients are reduced in a fixed order inside each batch.
 
 When the first k stages are frozen (freeze_conv, as in fine-tuning), each
 window's input to stage k stays the same for the whole run, so train()
-computes it once: the training windows in chunks of batch_size in index
-order, the validation windows in one call.  Every step and validation pass
-then runs only stages k..end, and backward stops at stage k, where its
-forward started.  With OpenBLAS, conv output for a window has
-the same bytes in any batch of 2 or more windows, so the run equals one
-that recomputes the frozen stages for every batch, and validation, run
-models.CONV_CHUNK windows at a time, equals one pass.  A batch of one
+computes it once, for the training and the validation windows, with the
+same models.run_stages pass that validation and evaluation use.  Every step
+and validation pass then runs only stages k..end, and backward stops at
+stage k, where its forward started.  With OpenBLAS, conv output for a window
+has the same bytes in any batch of 2 or more windows, so the run equals one
+that recomputes the frozen stages for every batch, except that a batch of one
 window is rounded differently in the last conv block's matmul: when the
 fit-set size mod batch_size is 1, the two can differ in the last bit.
+
+Each step (forward, backward and momentum update) and each validation pass
+runs under np.errstate(over="raise", invalid="raise"), so that divergence
+surfaces as DivergenceError at the batch where it first overflows.
 """
 
 from __future__ import annotations
@@ -142,13 +145,10 @@ def train(model: Model, dataset: Dataset, config: TrainConfig) -> TrainingRun:
 
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x5D]))
     # Conv stages lead layer_list.  The frozen ones map each window to the
-    # same input of the first trained stage all run long: compute it once, in
-    # chunks of batch_size, which bound memory and keep batch_size 1 bit-exact.
-    frozen = sum(isinstance(l, L.ConvLayer) for l in work.layer_list) if config.freeze_conv else 0
+    # same input of the first trained stage all run long: compute it once.
+    frozen = work.n_conv if config.freeze_conv else 0
     if frozen and config.epochs > 0:
-        bs = config.batch_size
-        x_train = np.concatenate([run_stages(work, x_train[lo : lo + bs], stop=frozen)
-                                  for lo in range(0, n, bs)])
+        x_train = run_stages(work, x_train, stop=frozen)
         x_val = run_stages(work, x_val, stop=frozen)
     velocity = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in work.layer_list[frozen:]]
 
@@ -163,23 +163,26 @@ def train(model: Model, dataset: Dataset, config: TrainConfig) -> TrainingRun:
         for bi, lo in enumerate(range(0, n, config.batch_size)):
             sel = order[lo : lo + config.batch_size]
             try:
-                loss, grads, _ = batch_loss_and_grads(work, x_train[sel], y_train[sel], frozen)
+                with np.errstate(over="raise", invalid="raise"):
+                    loss, grads, _ = batch_loss_and_grads(work, x_train[sel], y_train[sel],
+                                                          frozen)
+                    if not np.isfinite(loss):
+                        raise DivergenceError(epoch, bi)
+                    for layer, (v_w, v_b), (d_w, d_b) in zip(work.layer_list[frozen:], velocity,
+                                                             grads[frozen:]):
+                        v_w *= config.momentum
+                        v_w -= config.learning_rate * d_w
+                        v_b *= config.momentum
+                        v_b -= config.learning_rate * d_b
+                        layer.weights += v_w
+                        layer.bias += v_b
             except FloatingPointError as exc:
                 raise DivergenceError(epoch, bi) from exc
-            if not np.isfinite(loss):
-                raise DivergenceError(epoch, bi)
             loss_sum += loss * sel.size
-            for layer, (v_w, v_b), (d_w, d_b) in zip(work.layer_list[frozen:], velocity,
-                                                     grads[frozen:]):
-                v_w *= config.momentum
-                v_w -= config.learning_rate * d_w
-                v_b *= config.momentum
-                v_b -= config.learning_rate * d_b
-                layer.weights += v_w
-                layer.bias += v_b
         train_loss = loss_sum / n
         try:
-            val_probs = forward_batch(work, x_val, start=frozen)
+            with np.errstate(over="raise", invalid="raise"):
+                val_probs = forward_batch(work, x_val, start=frozen)
         except FloatingPointError as exc:
             raise DivergenceError(epoch, -1) from exc
         val_loss = L.bce_loss(val_probs, y_val)

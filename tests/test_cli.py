@@ -209,7 +209,6 @@ class TestTrainEvalPipeline:
                        "--out", tmp_path / "m.ckpt", "--epochs", 1) == cli.EXIT_DATA
         assert "non-finite sample" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, dataset_file, tmp_path, capsys):
         code = run_cli("train", "--data", dataset_file, "--model", "mlp",
                        "--out", tmp_path / "m.ckpt", "--epochs", 10,
@@ -251,6 +250,26 @@ class TestTrainEvalPipeline:
                        "--out", tmp_path / "m.ckpt", "--epochs", 1) == cli.EXIT_CONFIG
         assert "error: cannot load model spec" in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "mlp", "hidden_dims": [4, 4, 4], "input_length": 0},
+        {"kind": "mlp", "hidden_dims": [4, 4, 4], "input_length": -3},
+        {"kind": "mlp", "hidden_dims": [10**12, 1, 1]},
+        {"kind": "cnn", "blocks": [[8, 7, 2, 2], [16, 5, 2, 2], [32, 5, 2, 2], [32, 3, 2, 2]],
+         "hidden_dim": 64, "input_length": 10**14},
+    ], ids=["zero_input_length", "negative_input_length", "huge_mlp", "huge_cnn"])
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_degenerate_or_huge_spec_is_config_error(self, dataset_file, tmp_path, capsys,
+                                                     command, spec):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(spec))
+        argv = {"train": ["train", "--data", dataset_file, "--out", tmp_path / "m.ckpt",
+                          "--epochs", 1],
+                "gradcheck": ["gradcheck"]}[command]
+        assert run_cli(*argv, "--model", path) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["s.json"]  # no checkpoint, no manifest
 
 
 class TestFlagValues:

@@ -8,6 +8,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from hifbench import layers as L
+from hifbench import models
 from hifbench.models import (
     CKPT_MAGIC,
     CONV_CHUNK,
@@ -29,7 +30,6 @@ from hifbench.models import (
     run_stages,
     save_checkpoint,
     spec_from_dict,
-    stage_backward,
     standardize,
 )
 from hifbench.profiles import CNN_SPEC
@@ -273,7 +273,7 @@ class TestChannelsLastLayout:
                                               blk.pool_stride)
             assert out.tobytes() == flat(want, t_major).tobytes()
             g = rng.normal(size=want.shape)
-            (d_w, d_b), d_h = stage_backward(model, i, flat(g, t_major), cache, True)
+            [(d_w, d_b)], d_h = models._conv_backward(model, flat(g, t_major), [cache], i, True)
             d_pre = add_at_maxpool_backward(g, argmax, pre.shape[2]) * (pre > 0)
             r_w, r_b, r_x = contiguous_conv_backward(d_pre, cols, layer, x.shape)
             assert d_w.tobytes() == r_w.tobytes()
@@ -340,7 +340,7 @@ class TestKernelCalls:
     @pytest.mark.parametrize("spec, start, want", [
         (TINY_CNN, 0, dict(conv_forward_batch=4, maxpool_forward_batch=4, relu_forward=5,
                            dense_forward_batch=2, dense_backward_batch=2, relu_backward=5,
-                           maxpool_backward_batch=4, conv_backward_batch=4)),
+                           maxpool_backward_batch=4, conv_backward_batch=7)),
         (TINY_CNN, 4, dict(relu_forward=1, dense_forward_batch=2, dense_backward_batch=2,
                            relu_backward=1)),
         (TINY_MLP, 0, dict(relu_forward=3, dense_forward_batch=4, dense_backward_batch=4,

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hifbench.models import build_model, save_checkpoint
+from hifbench.models import MlpSpec, build_model, save_checkpoint
 from hifbench.training import (
     DivergenceError,
     EpochRecord,
@@ -89,6 +89,7 @@ class TestTrainLoop:
 
     def test_freeze_conv_runs_the_conv_blocks_once(self, small_dataset, monkeypatch):
         from hifbench import layers as L
+        from hifbench.models import CONV_CHUNK
         from hifbench.profiles import CNN_SPEC
         from hifbench.waveforms import split
 
@@ -102,22 +103,57 @@ class TestTrainLoop:
         monkeypatch.setattr(L, "conv_forward_batch", counting)
         cfg = quick_config(freeze_conv=True)
         n_fit = len(split(small_dataset, 1.0 - cfg.validation_fraction, cfg.seed)[0])
-        n_batches = -(-n_fit // cfg.batch_size)
-        # batch-sized chunks of the fit set and one pass over the validation
-        # set, each run as two window halves
-        n_calls = 2 * (n_batches + 1)
+
+        # one pass over the fit set and one over the validation set, each one
+        # chunk of CONV_CHUNK or fewer windows, run as two window halves
+        assert 4 <= len(small_dataset) - n_fit <= n_fit <= CONV_CHUNK
+        n_calls = 2 + 2
         for epochs in (1, 4):
             calls.clear()
             train(build_model(CNN_SPEC, 4), small_dataset, dataclasses.replace(cfg, epochs=epochs))
             assert len(calls) == 4 * n_calls
             assert sum(calls) == 4 * len(small_dataset)  # every window through every block once
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_frozen_store_is_one_pass_at_batch_size_1(self, small_dataset, monkeypatch):
+        from hifbench import training
+        from hifbench.models import run_stages
+        from hifbench.profiles import CNN_SPEC
+        from hifbench.waveforms import split
+
+        stored = []
+        real = training.batch_loss_and_grads
+
+        def recording(m, x, y, start):
+            stored.append(x.copy())
+            return real(m, x, y, start)
+
+        monkeypatch.setattr(training, "batch_loss_and_grads", recording)
+        cfg = quick_config(epochs=1, batch_size=1, freeze_conv=True)
+        model = build_model(CNN_SPEC, 4)
+        train(model, small_dataset, cfg)
+        fit, _ = split(small_dataset, 1.0 - cfg.validation_fraction, cfg.seed)
+        want = run_stages(model, fit.to_arrays()[0], stop=len(CNN_SPEC.blocks))
+        assert len(stored) == len(want)
+        assert sorted(r.tobytes() for r in np.concatenate(stored)) == sorted(
+            r.tobytes() for r in want)
+
     def test_divergence_raises(self, small_dataset):
         from hifbench.profiles import MLP_SPEC
         with pytest.raises(DivergenceError):
             train(build_model(MLP_SPEC, 5), small_dataset,
                   quick_config(epochs=5, learning_rate=1e18))
+
+    def test_divergence_surfaces_at_the_batch_that_overflows(self, small_dataset):
+        model = build_model(MlpSpec(hidden_dims=(4, 3, 2)), 5)
+        for layer in model.layer_list[1:]:
+            layer.weights *= 1e3
+        config = TrainConfig(epochs=2, batch_size=8, learning_rate=1e308, momentum=0.0, seed=0)
+        with pytest.raises(DivergenceError) as info:
+            train(model, small_dataset, config)
+        # the first step's momentum update overflows, a batch before the
+        # weights it makes give a non-finite loss
+        assert (info.value.epoch, info.value.batch) == (1, 0)
+        assert "overflow encountered in multiply" in str(info.value.__cause__)
 
     def test_early_stop_restores_best_weights(self, small_dataset):
         from hifbench.profiles import MLP_SPEC

@@ -80,7 +80,11 @@ def evaluate(
     if len(test_dataset) == 0:
         raise ValueError("test dataset is empty")
     x, y = test_dataset.to_arrays()
-    probs = forward_batch(model, x)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            probs = forward_batch(model, x)
+    except FloatingPointError as exc:  # an overflow raises, rather than warning
+        raise FloatingPointError("non-finite activation in forward pass") from exc
     matrix = confusion_from_predictions(y > 0.5, probs > threshold)
     return EvalReport(name, matrix)
 

@@ -11,12 +11,14 @@ forward pass started from; training, its frozen-feature store and the
 gradient checks all go through them.  Features enter conv blocks T-major (a
 free view of channels-last activations) and the dense head C-major.
 
-The per-window work of the conv blocks runs on two window halves at once,
-one on the calling thread and one on a single worker thread (_in_halves);
-the results have the same bytes as one pass over the whole batch:
+Every layer's weights and bias are views of one vector, Model.params, so
+frozen stages own a prefix of it and trained ones the tail.
+
+From 2 * HALF_WINDOWS windows, the per-window work of the conv blocks runs
+on two window halves at once, one on the calling thread and one on a single
+worker thread (_in_halves), with the bytes of one pass over all windows:
 - OpenBLAS gives a window's conv rows the same bytes in any call of 2 or
-  more windows, and each half has at least 2 (batches of 2 or 3 windows run
-  as one part);
+  more windows, and each half has at least 2;
 - a dense matmul's rows depend on how many rows share the call, so dense
   stages run on the whole batch;
 - the conv weight and bias gradients sum over the windows, so each is one
@@ -35,7 +37,7 @@ import queue
 import struct
 import threading
 import zlib
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +48,7 @@ from .fileio import write_atomic
 INPUT_LENGTH = 300
 STD_FLOOR = 1e-8
 CONV_CHUNK = 64  # windows per conv pass of a forward that keeps no caches
+HALF_WINDOWS = 10  # windows per half below which one part is as fast as two halves
 
 CKPT_MAGIC = b"HIFCKPT\x01"
 CKPT_VERSION = 1
@@ -185,10 +188,20 @@ def fingerprint(spec) -> bytes:
     return hashlib.sha256(json.dumps(spec.to_dict(), sort_keys=True).encode()).digest()
 
 
-@dataclass
 class Model:
-    spec: "CnnSpec | MlpSpec"
-    layer_list: list
+    """A spec and one C-contiguous float64 vector params, of which each layer's
+    weights and bias are views, in layer_list order: stage i owns
+    params[offsets[i] : offsets[i + 1]], its weights and then its biases."""
+
+    def __init__(self, spec: "CnnSpec | MlpSpec", params: np.ndarray):
+        self.spec, self.params, self.layer_list, self.offsets = spec, params, [], [0]
+        for cls, shape in _layer_shapes(spec):
+            lo, hi = self.offsets[-1], self.offsets[-1] + math.prod(shape)
+            self.layer_list.append(cls(params[lo:hi].reshape(shape), params[hi : hi + shape[0]]))
+            self.offsets.append(hi + shape[0])
+        if self.offsets[-1] != params.size:
+            raise ValueError(f"parameter vector has {params.size} entries, "
+                             f"spec needs {self.offsets[-1]}")
 
     def pool(self, i: int) -> tuple[int, int] | None:
         """(width, stride) of stage i's max pool; None for a dense stage or past the last."""
@@ -211,31 +224,19 @@ class Model:
         return sum(isinstance(l, L.ConvLayer) for l in self.layer_list)
 
     def parameter_count(self) -> int:
-        return sum(l.weights.size + l.bias.size for l in self.layer_list)
+        return self.params.size
 
     def flat_parameters(self) -> np.ndarray:
-        parts = []
-        for l in self.layer_list:
-            parts.append(l.weights.ravel())
-            parts.append(l.bias.ravel())
-        return np.concatenate(parts)
+        return self.params.copy()
 
     def set_flat_parameters(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.size != self.parameter_count():
+        if np.size(flat) != self.params.size:
             raise CheckpointCorruptError(
-                f"parameter vector has {flat.size} entries, model needs {self.parameter_count()}"
-            )
-        offset = 0
-        for l in self.layer_list:
-            for arr in (l.weights, l.bias):
-                arr[...] = flat[offset : offset + arr.size].reshape(arr.shape)
-                offset += arr.size
+                f"parameter vector has {np.size(flat)} entries, model needs {self.params.size}")
+        self.params[...] = flat
 
     def copy(self) -> "Model":
-        layer_list = [replace(l, weights=l.weights.copy(), bias=l.bias.copy())
-                      for l in self.layer_list]
-        return Model(self.spec, layer_list)
+        return Model(self.spec, self.params.copy())
 
 
 def _layer_shapes(spec) -> list[tuple[type, tuple[int, ...]]]:
@@ -258,15 +259,14 @@ def _layer_shapes(spec) -> list[tuple[type, tuple[int, ...]]]:
 def build_model(spec, init_seed: int) -> Model:
     """He-initialized weights, zero biases; deterministic in init_seed."""
     rng = np.random.default_rng(np.random.SeedSequence([init_seed, 0x1417]))
-    layer_list = []
-    for cls, shape in _layer_shapes(spec):
-        fan_in = math.prod(shape[1:])
-        try:
-            w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-        except (MemoryError, ValueError) as exc:  # ValueError: more elements than an index holds
-            raise SpecError(f"layer of shape {shape} is too large to allocate: {exc}") from None
-        layer_list.append(cls(w, np.zeros(shape[0])))
-    return Model(spec, layer_list)
+    count = sum(math.prod(shape) + shape[0] for _, shape in _layer_shapes(spec))
+    try:
+        model = Model(spec, np.zeros(count))
+        for w in (layer.weights for layer in model.layer_list):
+            w[...] = rng.normal(0.0, np.sqrt(2.0 / math.prod(w.shape[1:])), size=w.shape)
+    except (MemoryError, ValueError) as exc:  # ValueError: more elements than an index holds
+        raise SpecError(f"{count} parameters are too many to allocate: {exc}") from None
+    return model
 
 
 def standardize(x: np.ndarray) -> np.ndarray:
@@ -337,15 +337,18 @@ def _both(here, there) -> tuple:
     return first, second
 
 
+def _halves_pay(n: int) -> bool:
+    """Whether n windows run as two halves, each of at least HALF_WINDOWS >= 2."""
+    return n // 2 >= HALF_WINDOWS
+
+
 def _in_halves(n: int, fn, split: bool = True) -> None:
     """fn(lo, hi) over windows 0..n-1: windows [0, n//2) here and [n//2, n)
-    on the worker thread, or fn(0, n) here alone when n < 4 or not split.
-    Each part then has 2 windows or more, so OpenBLAS gives its conv rows
-    the bytes of one pass over all n."""
-    if n < 4 or not split:
-        fn(0, n)
-    else:
+    on the worker thread, or fn(0, n) here alone if not split or too few."""
+    if split and _halves_pay(n):
         _both(lambda: fn(0, n // 2), lambda: fn(n // 2, n))
+    else:
+        fn(0, n)
 
 
 def _rows(buf: np.ndarray, lo: int, hi: int, *shape: int) -> np.ndarray:
@@ -452,9 +455,9 @@ def _conv_backward(model: Model, grad: np.ndarray, caches: list, start: int,
     Each window half routes its gradient down the chain (pool, ReLU mask,
     d_cols matmul, col2im) into its rows of buffers allocated here.  The
     weight and bias gradients, which sum over the windows, are then one call
-    each on the whole batch: on the calling thread for fewer than 4 windows,
-    else shared out between the two threads, the call that makes a stage's
-    gradient being the same on either.
+    each on the whole batch: on the calling thread when the batch runs as one
+    part, else shared out between the two threads, the call that makes a
+    stage's gradient being the same on either.
     """
     n = len(grad)
     stages = range(start, start + len(caches))
@@ -490,7 +493,7 @@ def _conv_backward(model: Model, grad: np.ndarray, caches: list, start: int,
             grads[j] = L.conv_backward_batch(d_pre, cols, model.layer_list[stages[j]],
                                              (n, c, length), False)[:2]
 
-    if n < 4:
+    if not _halves_pay(n):
         reduce(range(len(stages)))
     else:
         # the costliest reductions first, each to the less loaded thread
@@ -681,7 +684,7 @@ def load_checkpoint(path) -> Checkpoint:
     if fingerprint(spec) != fp:
         raise FingerprintMismatchError(f"{path}: metadata spec does not match fingerprint")
     needed = sum(math.prod(shape) + shape[0] for _, shape in _layer_shapes(spec))
-    if needed != count:  # before restore_for_transfer allocates the spec's layers
+    if needed != count:
         raise CheckpointCorruptError(f"{path}: spec needs {needed} parameters, file has {count}")
     return ckpt
 
@@ -690,8 +693,4 @@ def restore_for_transfer(ckpt: Checkpoint, target_spec) -> Model:
     """Model with the checkpoint's parameters, ready for fine-tuning."""
     if fingerprint(target_spec) != ckpt.fingerprint:
         raise FingerprintMismatchError("checkpoint fingerprint does not match the target spec")
-    layer_list = [cls(np.empty(shape), np.empty(shape[0]))
-                  for cls, shape in _layer_shapes(target_spec)]
-    model = Model(target_spec, layer_list)
-    model.set_flat_parameters(ckpt.params)
-    return model
+    return Model(target_spec, ckpt.params.copy())

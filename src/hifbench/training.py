@@ -15,9 +15,10 @@ that recomputes the frozen stages for every batch, except that a batch of one
 window is rounded differently in the last conv block's matmul: when the
 fit-set size mod batch_size is 1, the two can differ in the last bit.
 
-Each step (forward, backward and momentum update) and each validation pass
-runs under np.errstate(over="raise", invalid="raise"), so that divergence
-surfaces as DivergenceError at the batch where it first overflows.
+The trained stages own the tail of the model's parameter vector, which each
+momentum step updates as one vector.  Divergence raises DivergenceError at the
+batch that first overflows, as training runs under np.errstate(over="raise",
+invalid="raise"); the frozen-feature pass counts as epoch 1's batch 0.
 """
 
 from __future__ import annotations
@@ -147,61 +148,56 @@ def train(model: Model, dataset: Dataset, config: TrainConfig) -> TrainingRun:
     # Conv stages lead layer_list.  The frozen ones map each window to the
     # same input of the first trained stage all run long: compute it once.
     frozen = work.n_conv if config.freeze_conv else 0
-    if frozen and config.epochs > 0:
-        x_train = run_stages(work, x_train, stop=frozen)
-        x_val = run_stages(work, x_val, stop=frozen)
-    velocity = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in work.layer_list[frozen:]]
+    trained = work.params[work.offsets[frozen]:]  # a view: stepping it steps the layers
+    velocity = np.zeros_like(trained)
 
     records: list[EpochRecord] = []
     best_val = np.inf
     best_params = None
     stale = 0
-    for epoch in range(1, config.epochs + 1):
-        start = time.perf_counter()
-        order = shuffle_rng.permutation(n)
-        loss_sum = 0.0
-        for bi, lo in enumerate(range(0, n, config.batch_size)):
-            sel = order[lo : lo + config.batch_size]
-            try:
-                with np.errstate(over="raise", invalid="raise"):
+    at = (1, 0)  # (epoch, batch) a FloatingPointError is reported at; -1 is validation
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if frozen and config.epochs > 0:
+                x_train = run_stages(work, x_train, stop=frozen)
+                x_val = run_stages(work, x_val, stop=frozen)
+            for epoch in range(1, config.epochs + 1):
+                start = time.perf_counter()
+                order = shuffle_rng.permutation(n)
+                loss_sum = 0.0
+                for bi, lo in enumerate(range(0, n, config.batch_size)):
+                    at = (epoch, bi)
+                    sel = order[lo : lo + config.batch_size]
                     loss, grads, _ = batch_loss_and_grads(work, x_train[sel], y_train[sel],
                                                           frozen)
                     if not np.isfinite(loss):
-                        raise DivergenceError(epoch, bi)
-                    for layer, (v_w, v_b), (d_w, d_b) in zip(work.layer_list[frozen:], velocity,
-                                                             grads[frozen:]):
-                        v_w *= config.momentum
-                        v_w -= config.learning_rate * d_w
-                        v_b *= config.momentum
-                        v_b -= config.learning_rate * d_b
-                        layer.weights += v_w
-                        layer.bias += v_b
-            except FloatingPointError as exc:
-                raise DivergenceError(epoch, bi) from exc
-            loss_sum += loss * sel.size
-        train_loss = loss_sum / n
-        try:
-            with np.errstate(over="raise", invalid="raise"):
+                        raise DivergenceError(*at)
+                    velocity *= config.momentum
+                    velocity -= config.learning_rate * np.concatenate(
+                        [g.ravel() for pair in grads[frozen:] for g in pair])
+                    trained += velocity
+                    loss_sum += loss * sel.size
+                train_loss = loss_sum / n
+                at = (epoch, -1)
                 val_probs = forward_batch(work, x_val, start=frozen)
-        except FloatingPointError as exc:
-            raise DivergenceError(epoch, -1) from exc
-        val_loss = L.bce_loss(val_probs, y_val)
-        if not np.isfinite(val_loss):
-            raise DivergenceError(epoch, -1)
-        val_acc = float(np.mean((val_probs > 0.5) == (y_val > 0.5)))
-        records.append(
-            EpochRecord(epoch, train_loss, val_loss, val_acc, time.perf_counter() - start)
-        )
-        if config.early_stop is not None:
-            patience, min_delta = config.early_stop
-            if val_loss < best_val - min_delta:
-                best_val = val_loss
-                best_params = work.flat_parameters()
-                stale = 0
-            else:
-                stale += 1
-                if stale >= patience:
-                    break
+                val_loss = L.bce_loss(val_probs, y_val)
+                if not np.isfinite(val_loss):
+                    raise DivergenceError(*at)
+                val_acc = float(np.mean((val_probs > 0.5) == (y_val > 0.5)))
+                records.append(EpochRecord(epoch, train_loss, val_loss, val_acc,
+                                           time.perf_counter() - start))
+                if config.early_stop is not None:
+                    patience, min_delta = config.early_stop
+                    if val_loss < best_val - min_delta:
+                        best_val = val_loss
+                        best_params = work.flat_parameters()
+                        stale = 0
+                    else:
+                        stale += 1
+                        if stale >= patience:
+                            break
+    except FloatingPointError as exc:
+        raise DivergenceError(*at) from exc
 
     # early stopping keeps the weights from the best validation epoch
     if best_params is not None:

@@ -1,5 +1,6 @@
 import json
 import struct
+import warnings
 import zlib
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hifbench import cli
 from hifbench.datafile import read_dataset, write_dataset
 from hifbench.models import MlpSpec, build_model, save_checkpoint
+from hifbench.profiles import CNN_SPEC
 
 from test_models import TINY_MLP
 
@@ -409,22 +411,27 @@ class TestExitCodes:
         assert run_cli(*argv, "--data", dataset_file) == cli.EXIT_CONFIG
         assert "error: windows must have 20 samples" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("poison", ["nan_bias", "huge_weights"])
+    # huge_conv_weights overflows in the conv blocks, which a fine-tune runs
+    # once, frozen, before its first batch
+    @pytest.mark.parametrize("poison", ["nan_bias", "huge_weights", "huge_conv_weights"])
     def test_non_finite_model_output_is_data_error(self, dataset_file, tmp_path, capsys,
                                                    poison):
-        model = build_model(SMALL_MLP, 0)
+        model = build_model(CNN_SPEC if poison == "huge_conv_weights" else SMALL_MLP, 0)
         if poison == "nan_bias":
             model.layer_list[-1].bias[0] = float("nan")
         else:
             model.layer_list[0].weights[...] = 1e308
         ckpt = tmp_path / "m.ckpt"
         save_checkpoint(model, {}, ckpt)
+        # one error line, and no RuntimeWarning (the suite makes one an error)
         assert run_cli("eval", "--ckpt", ckpt, "--data", dataset_file) == cli.EXIT_DATA
-        assert "error: non-finite activation in forward pass" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: non-finite activation in forward pass"]
         # training reports the same fault as divergence at its first batch
         assert run_cli("finetune", "--ckpt", ckpt, "--data", dataset_file,
                        "--out", tmp_path / "x.ckpt", "--epochs", 1) == cli.EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: training diverged: non-finite loss at epoch 1, batch 0"]
 
     def test_parameter_count_is_checked_before_allocating(self, dataset_file, tmp_path,
                                                           capsys):
@@ -453,7 +460,38 @@ def small_ckpt(tmp_path_factory):
     return path
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.fixture(scope="module")
+def cnn_ckpt(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "cnn.ckpt"
+    save_checkpoint(build_model(CNN_SPEC, 0), {"init_seed": 0}, path)
+    return path
+
+
+CLEAN_EXITS = (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_DIVERGENCE,
+               cli.EXIT_FINGERPRINT)
+
+
+def flipped(path, pos: int, xor: int, crc: bool = True):
+    """A copy of path with byte pos xor-ed, its CRC recomputed if crc."""
+    blob = bytearray(path.read_bytes())
+    blob[pos] ^= xor
+    if crc:
+        body = bytes(blob[:-4])
+        blob = body + struct.pack("<I", zlib.crc32(body))
+    out = path.with_name("flipped-" + path.name)
+    out.write_bytes(bytes(blob))
+    return out
+
+
+def exits_cleanly(*argv) -> int:
+    """The CLI's exit code; a traceback or a RuntimeWarning fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run_cli(*argv)
+    assert code in CLEAN_EXITS
+    return code
+
+
 @pytest.mark.parametrize("target", ["ckpt", "data"])
 @settings(max_examples=100, deadline=None)
 @given(draw=st.data())
@@ -461,14 +499,55 @@ def test_eval_exits_cleanly_after_any_flipped_byte(dataset_file, small_ckpt, tar
     """One byte of the checkpoint or the 40-window dataset changed, under a
     valid CRC: eval scores it or names the fault by its exit code."""
     paths = {"ckpt": small_ckpt, "data": dataset_file}
-    blob = bytearray(paths[target].read_bytes())
-    pos = draw.draw(st.integers(0, len(blob) - 5), label="position")  # the CRC is rewritten
-    blob[pos] ^= draw.draw(st.integers(1, 255), label="xor")
-    body = bytes(blob[:-4])
-    paths[target] = paths[target].with_name("flipped-" + paths[target].name)
-    paths[target].write_bytes(body + struct.pack("<I", zlib.crc32(body)))
-    code = run_cli("eval", "--ckpt", paths["ckpt"], "--data", paths["data"])
-    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_FINGERPRINT)
+    blob_len = paths[target].stat().st_size
+    pos = draw.draw(st.integers(0, blob_len - 5), label="position")  # the CRC is rewritten
+    paths[target] = flipped(paths[target], pos, draw.draw(st.integers(1, 255), label="xor"))
+    code = exits_cleanly("eval", "--ckpt", paths["ckpt"], "--data", paths["data"])
+    assert code != cli.EXIT_DIVERGENCE
+
+
+@pytest.mark.parametrize("crc", [True, False], ids=["crc", "no_crc"])
+@settings(max_examples=25, deadline=None)
+@given(draw=st.data())
+def test_train_exits_cleanly_after_any_flipped_data_byte(dataset_file, crc, draw):
+    """One byte of the 40-window dataset changed, with or without a
+    recomputed CRC: one MLP epoch trains or names the fault."""
+    size = dataset_file.stat().st_size
+    pos = draw.draw(st.integers(0, size - (5 if crc else 1)), label="position")
+    data = flipped(dataset_file, pos, draw.draw(st.integers(1, 255), label="xor"), crc)
+    code = exits_cleanly("train", "--data", data, "--model", "mlp", "--epochs", 1,
+                         "--out", data.with_name("trained.ckpt"))
+    assert crc or code == cli.EXIT_DATA  # a stale CRC is always caught
+
+
+@settings(max_examples=25, deadline=None)
+@given(draw=st.data())
+def test_finetune_exits_cleanly_after_any_flipped_checkpoint_byte(dataset_file, cnn_ckpt, draw):
+    """One byte of a CNN checkpoint changed, under a valid CRC: a frozen-conv
+    fine-tune epoch trains or names the fault."""
+    pos = draw.draw(st.integers(0, cnn_ckpt.stat().st_size - 5), label="position")
+    ckpt = flipped(cnn_ckpt, pos, draw.draw(st.integers(1, 255), label="xor"))
+    exits_cleanly("finetune", "--ckpt", ckpt, "--data", dataset_file, "--epochs", 1,
+                  "--out", ckpt.with_name("tuned.ckpt"))
+
+
+@pytest.mark.parametrize("command", ["eval", "finetune"])
+@settings(max_examples=25, deadline=None)
+@given(draw=st.data())
+def test_exits_cleanly_after_a_flipped_exponent_bit(dataset_file, cnn_ckpt, command, draw):
+    """One of a parameter's 11 exponent bits flipped, under a valid CRC.  A
+    uniform byte flip rarely makes a parameter huge; this often does."""
+    from hifbench.models import CKPT_MAGIC
+    count = build_model(CNN_SPEC, 0).parameter_count()
+    index = draw.draw(st.integers(0, count - 1), label="parameter")
+    # the top bit takes a weight below 2 in magnitude to about 1e307
+    bit = draw.draw(st.just(62) | st.integers(52, 61), label="exponent bit")
+    pos = len(CKPT_MAGIC) + 4 + 32 + 8 + 8 * index + bit // 8  # little-endian float64s
+    ckpt = flipped(cnn_ckpt, pos, 1 << bit % 8)
+    argv = {"eval": ["eval"],
+            "finetune": ["finetune", "--epochs", 1, "--out", ckpt.with_name("tuned.ckpt")]}
+    code = exits_cleanly(*argv[command], "--ckpt", ckpt, "--data", dataset_file)
+    assert code in (cli.EXIT_OK, cli.EXIT_DATA, cli.EXIT_DIVERGENCE)
 
 
 class TestGradcheckCommand:

@@ -66,10 +66,13 @@ def serial_step(model, x, y):
     return L.bce_loss(probs, y), grads, probs
 
 
+HALVES = 2 * models.HALF_WINDOWS  # the smallest batch that runs as two halves
+
+
 class TestBytes:
-    # 1, 2 and 3 run as one part; 5, 31 and 33 have halves of unequal size,
-    # as a short tail batch of an epoch can
-    @pytest.mark.parametrize("batch", [1, 2, 3, 4, 5, 31, 32, 33])
+    # batches below HALVES run as one part; HALVES + 1, 31 and 33 have halves
+    # of unequal size, as a short tail batch of an epoch can
+    @pytest.mark.parametrize("batch", [1, 2, 3, 4, 5, HALVES - 1, HALVES, HALVES + 1, 31, 32, 33])
     @pytest.mark.parametrize("spec", [CNN_SPEC, TINY_CNN], ids=["cnn", "tiny_cnn"])
     def test_step_equals_serial_composition(self, spec, batch):
         model = build_model(spec, 3)
@@ -105,7 +108,7 @@ class TestConcurrentCallers:
         jobs = []
         for seed in range(4):
             model = build_model(CNN_SPEC, seed)
-            x = rng.normal(size=(8 + seed, CNN_SPEC.input_length))
+            x = rng.normal(size=(HALVES + seed, CNN_SPEC.input_length))
             y = (rng.random(len(x)) < 0.5).astype(np.float64)
             jobs.append((model, x, y, serial_step(model, x, y)[1]))
         failures = []
@@ -156,19 +159,20 @@ def spike(length=CNN_SPEC.input_length):
 class TestErrors:
     def test_overflow_in_the_second_half_raises(self):
         model = spike_model()
-        x = sines(8)
-        y = np.tile([1.0, 0.0], 4)
+        x = sines(HALVES)
+        y = np.tile([1.0, 0.0], HALVES // 2)
+        half = HALVES // 2
         with np.errstate(over="raise"):
-            models.batch_loss_and_grads(model, x[:4], y[:4])  # the first half alone is fine
-            x[6] = spike()
+            models.batch_loss_and_grads(model, x[:half], y[:half])  # the first half alone is fine
+            x[-2] = spike()
             with pytest.raises(FloatingPointError, match="overflow"):
                 models.batch_loss_and_grads(model, x, y)
 
     def test_train_diverges_at_the_batch_whose_second_half_overflows(self, monkeypatch):
-        x = sines(40)
+        x = sines(4 * HALVES)  # a fit set of 3 batches of HALVES windows
         windows = [waveforms.Window(row, waveforms.Label(i % 2), waveforms.SystemId.SOURCE, i)
                    for i, row in enumerate(x)]
-        config = training.TrainConfig(epochs=1, batch_size=8, seed=3)
+        config = training.TrainConfig(epochs=1, batch_size=HALVES, seed=3)
         model = spike_model()
         batches = []
         real = training.batch_loss_and_grads
@@ -181,7 +185,8 @@ class TestErrors:
         dataset = waveforms.Dataset(windows, 0, waveforms.SCENARIOS["source"])
         training.train(model, dataset, config)
         # a window that lands in the second half of batch 2
-        row = batches[2][6]
+        assert len(batches) == 3 and len(batches[2]) == HALVES
+        row = batches[2][-2]
         target = next(i for i, w in enumerate(windows) if w.samples.tobytes() == row.tobytes())
         windows[target] = waveforms.Window(spike(), windows[target].label,
                                            waveforms.SystemId.SOURCE, target)
@@ -214,6 +219,27 @@ class TestWorkerLifetime:
             model = models.build_model(spec, 0)
             x, y = gradcheck.find_check_point(model)
             assert gradcheck.grad_check(model, x, y) < 1e-4
+            assert threading.active_count() == before, threading.enumerate()
+            print("ok")
+        """)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["ok"]
+
+    @pytest.mark.parametrize("call", ["batch_loss_and_grads(model, x, y)",
+                                      "forward_batch(model, x)"], ids=["step", "forward"])
+    def test_sixteen_windows_start_no_thread(self, call):
+        """Below 2 * HALF_WINDOWS windows, handing a half to the worker costs
+        more than it saves, so the batch runs as one part."""
+        done = run_python(f"""
+            import threading
+            import numpy as np
+            from hifbench.models import batch_loss_and_grads, build_model, forward_batch
+            from hifbench.profiles import CNN_SPEC
+            before = threading.active_count()
+            model = build_model(CNN_SPEC, 0)
+            x = np.random.default_rng(0).normal(size=(16, CNN_SPEC.input_length))
+            y = np.tile([1.0, 0.0], 8)
+            {call}
             assert threading.active_count() == before, threading.enumerate()
             print("ok")
         """)

@@ -146,6 +146,26 @@ class TestBuildAndForward:
         clone.layer_list[-1].bias += 1.0
         assert model.flat_parameters().tobytes() == build_model(TINY_CNN, 5).flat_parameters().tobytes()
 
+    @pytest.mark.parametrize("spec", [TINY_CNN, TINY_MLP], ids=["cnn", "mlp"])
+    def test_layers_are_views_of_one_parameter_vector(self, tmp_path, spec):
+        model = build_model(spec, 5)
+        params = model.params
+        assert params.dtype == np.float64 and params.ndim == 1 and params.flags.c_contiguous
+        assert model.parameter_count() == params.size
+        views = [a for l in model.layer_list for a in (l.weights, l.bias)]
+        assert all(np.shares_memory(a, params) for a in views)
+        assert np.concatenate([a.ravel() for a in views]).tobytes() == params.tobytes()
+        params[...] = np.arange(params.size)  # a write through params reaches every layer
+        assert np.concatenate([a.ravel() for a in views]).tobytes() == params.tobytes()
+        # nothing that a caller keeps shares the model's memory
+        clone = model.copy()
+        assert not any(np.shares_memory(a, params)
+                       for l in clone.layer_list for a in (l.weights, l.bias))
+        ckpt = save_checkpoint(model, {}, tmp_path / "m.ckpt")
+        assert not np.shares_memory(ckpt.params, params)
+        assert not np.shares_memory(model.flat_parameters(), params)
+        assert not np.shares_memory(restore_for_transfer(ckpt, spec).params, ckpt.params)
+
 
 def stored_features(spec, start):
     """(model, stage start's input for 3 random windows, their labels)."""
@@ -317,8 +337,9 @@ class TestBatchSizeInvariance:
         assert forward_batch(model, x).tobytes() == L.sigmoid(h[:, 0]).tobytes()
         full = max(0, (n - 2) // CONV_CHUNK)  # a 1-window tail joins the last chunk
         chunks = [CONV_CHUNK] * full + [n - full * CONV_CHUNK]
-        # each chunk of 4 or more windows runs as two halves, on two threads
-        halves = [s for c in chunks for s in ((c // 2, c - c // 2) if c >= 4 else (c,))]
+        # each chunk of 2 * HALF_WINDOWS or more windows runs as two halves, on two threads
+        halves = [s for c in chunks
+                  for s in ((c // 2, c - c // 2) if c >= 2 * models.HALF_WINDOWS else (c,))]
         assert sorted(sizes) == sorted(halves)
         assert min(sizes) >= 2 or n == 1
 

@@ -87,9 +87,44 @@ class TestTrainLoop:
             assert before == (layer.weights.tobytes(), layer.bias.tobytes())
         assert not np.array_equal(head_before, run.model.layer_list[-1].weights)
 
+    @pytest.mark.parametrize("freeze", [False, True], ids=["all", "freeze_conv"])
+    def test_step_has_the_bytes_of_a_per_layer_momentum_update(self, small_dataset,
+                                                              monkeypatch, freeze):
+        """train steps the trained tail of Model.params as one vector; replaying
+        its gradients through a per-layer update gives the same bytes."""
+        from hifbench import training
+        from hifbench.profiles import CNN_SPEC
+
+        steps = []
+        real = training.batch_loss_and_grads
+
+        def recording(*args):
+            out = real(*args)
+            steps.append([(d_w.copy(), d_b.copy()) for d_w, d_b in filter(None, out[1])])
+            return out
+
+        monkeypatch.setattr(training, "batch_loss_and_grads", recording)
+        model = build_model(CNN_SPEC, 4)
+        cfg = quick_config(epochs=2, freeze_conv=freeze)
+        run = train(model, small_dataset, cfg)
+
+        ref = model.copy()
+        trained = ref.layer_list[len(ref.layer_list) - len(steps[0]):]
+        assert len(trained) == (2 if freeze else len(ref.layer_list))
+        velocity = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in trained]
+        for grads in steps:
+            for layer, (v_w, v_b), (d_w, d_b) in zip(trained, velocity, grads):
+                v_w *= cfg.momentum
+                v_w -= cfg.learning_rate * d_w
+                v_b *= cfg.momentum
+                v_b -= cfg.learning_rate * d_b
+                layer.weights += v_w
+                layer.bias += v_b
+        assert ref.flat_parameters().tobytes() == run.model.flat_parameters().tobytes()
+
     def test_freeze_conv_runs_the_conv_blocks_once(self, small_dataset, monkeypatch):
         from hifbench import layers as L
-        from hifbench.models import CONV_CHUNK
+        from hifbench.models import CONV_CHUNK, HALF_WINDOWS
         from hifbench.profiles import CNN_SPEC
         from hifbench.waveforms import split
 
@@ -105,9 +140,10 @@ class TestTrainLoop:
         n_fit = len(split(small_dataset, 1.0 - cfg.validation_fraction, cfg.seed)[0])
 
         # one pass over the fit set and one over the validation set, each one
-        # chunk of CONV_CHUNK or fewer windows, run as two window halves
-        assert 4 <= len(small_dataset) - n_fit <= n_fit <= CONV_CHUNK
-        n_calls = 2 + 2
+        # chunk of CONV_CHUNK or fewer windows: the fit set runs as two window
+        # halves, the smaller validation set as one part
+        assert len(small_dataset) - n_fit < 2 * HALF_WINDOWS <= n_fit <= CONV_CHUNK
+        n_calls = 2 + 1
         for epochs in (1, 4):
             calls.clear()
             train(build_model(CNN_SPEC, 4), small_dataset, dataclasses.replace(cfg, epochs=epochs))

@@ -8,6 +8,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -97,17 +98,9 @@ def _model_spec(name: str):
 
 
 def _train_config(args, base: TrainConfig) -> TrainConfig:
-    overrides = {}
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    if args.lr is not None:
-        overrides["learning_rate"] = args.lr
-    if args.batch is not None:
-        overrides["batch_size"] = args.batch
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "freeze_conv", False):
-        overrides["freeze_conv"] = True
+    flags = {"epochs": args.epochs, "learning_rate": args.lr, "batch_size": args.batch,
+             "seed": args.seed}
+    overrides = {key: value for key, value in flags.items() if value is not None}
     try:
         return dataclasses.replace(base, **overrides)
     except ValueError as exc:
@@ -125,6 +118,37 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _curves_path(args) -> Path:
+    return Path(args.curves) if args.curves else Path(args.out).with_suffix(".curves.csv")
+
+
+def _paths(args) -> tuple[list, list]:
+    """(outputs, inputs) of a command, each a list of (flag, path)."""
+    out = getattr(args, "out", None)
+    outputs = [("--out", out), ("the manifest", f"{out}.manifest.json")] if out else []
+    if out and args.cmd in ("train", "finetune"):
+        outputs.append(("--curves", _curves_path(args)))
+    ckpts = getattr(args, "ckpt", None)
+    inputs = [("--data", getattr(args, "data", None)), ("--config", getattr(args, "config", None)),
+              *(("--ckpt", c) for c in (ckpts if isinstance(ckpts, list) else [ckpts]))]
+    if getattr(args, "model", "cnn") not in ("cnn", "mlp"):
+        inputs.append(("--model", args.model))
+    return outputs, inputs
+
+
+def _check_paths(outputs: list, inputs: list) -> None:
+    """Exit 2 when two outputs, or an output and an input, are one path: one
+    of the two files would be lost."""
+    claimed: dict = {}  # resolved path -> the output that writes it
+    for is_output, named in ((True, outputs), (False, inputs)):
+        for name, path in named:
+            key = os.path.realpath(path) if path else None
+            if key in claimed:
+                raise CliError(f"{claimed[key]} and {name} {path} are the same file", EXIT_CONFIG)
+            if is_output:
+                claimed[key] = f"{name} {path}"
+
+
 def _save_run(args, run, dataset, config, metadata: dict, snapshot: dict, seeds: dict,
               artifacts: dict) -> Path:
     """Write a trained model's checkpoint, loss curves and manifest; the dicts
@@ -137,7 +161,7 @@ def _save_run(args, run, dataset, config, metadata: dict, snapshot: dict, seeds:
         "final_val_loss": last.val_loss if last else None,
         "dataset_seed": dataset.master_seed,
         **metadata}, out)
-    curves = Path(args.curves) if args.curves else out.with_suffix(".curves.csv")
+    curves = _curves_path(args)
     run.to_csv(curves)
     _write_manifest(
         out, args.cmd,
@@ -228,34 +252,39 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_replicate(args) -> int:
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    def run(*argv) -> int:
-        sub = build_parser().parse_args([str(a) for a in argv])
-        return sub.func(sub)
-
     seed = [] if args.seed is None else ["--seed", args.seed]
     if args.case == "case1":
         data = outdir / "case1.dataset"
         split = ["--train-fraction", profiles.CASE1_TRAIN_FRACTION,
                  "--split-seed", profiles.SPLIT_SEED]
-        run("gen", "--profile", "case1", "--out", data, *seed)
         train_argv = ["train", "--data", data, "--init-seed", 1, *split]
-        run(*train_argv, "--model", "cnn", "--out", outdir / "cnn.ckpt")
-        run(*train_argv, "--model", "mlp", "--out", outdir / "mlp.ckpt")
-        return run("eval", "--ckpt", outdir / "cnn.ckpt", outdir / "mlp.ckpt", "--data", data,
-                   "--holdout", *split, "--threshold", 0.5, "--out", outdir / "case1_report.csv")
-    if not args.source_ckpt:
+        steps = [["gen", "--profile", "case1", "--out", data, *seed],
+                 [*train_argv, "--model", "cnn", "--out", outdir / "cnn.ckpt"],
+                 [*train_argv, "--model", "mlp", "--out", outdir / "mlp.ckpt"],
+                 ["eval", "--ckpt", outdir / "cnn.ckpt", outdir / "mlp.ckpt", "--data", data,
+                  "--holdout", *split, "--threshold", 0.5, "--out", outdir / "case1_report.csv"]]
+    elif not args.source_ckpt:
         raise CliError("replicate case2 needs --source-ckpt (the trained case1 CNN)", EXIT_USAGE)
-    data = outdir / "case2.dataset"
-    split = ["--train-fraction", profiles.CASE2_TRAIN_FRACTION, "--split-seed", profiles.SPLIT_SEED]
-    run("gen", "--profile", "case2", "--out", data, *seed)
-    finetune_argv = ["finetune", "--ckpt", args.source_ckpt, "--data", data, "--init-seed", 2,
-                     *split]
-    run(*finetune_argv, "--out", outdir / "transfer.ckpt")
-    run(*finetune_argv, "--scratch", "--out", outdir / "scratch.ckpt")
-    return run("eval", "--ckpt", outdir / "scratch.ckpt", outdir / "transfer.ckpt", "--data", data,
-               "--holdout", *split, "--threshold", 0.5, "--out", outdir / "case2_report.csv")
+    else:
+        data = outdir / "case2.dataset"
+        split = ["--train-fraction", profiles.CASE2_TRAIN_FRACTION,
+                 "--split-seed", profiles.SPLIT_SEED]
+        finetune_argv = ["finetune", "--ckpt", args.source_ckpt, "--data", data,
+                         "--init-seed", 2, *split]
+        steps = [["gen", "--profile", "case2", "--out", data, *seed],
+                 [*finetune_argv, "--out", outdir / "transfer.ckpt"],
+                 [*finetune_argv, "--scratch", "--out", outdir / "scratch.ckpt"],
+                 ["eval", "--ckpt", outdir / "scratch.ckpt", outdir / "transfer.ckpt", "--data",
+                  data, "--holdout", *split, "--threshold", 0.5,
+                  "--out", outdir / "case2_report.csv"]]
+    subs = [build_parser().parse_args([str(a) for a in argv]) for argv in steps]
+    for sub in subs:  # before any step runs: no step may write over the source checkpoint
+        outputs, inputs = _paths(sub)
+        _check_paths(outputs, [*inputs, ("--source-ckpt", args.source_ckpt)])
+    outdir.mkdir(parents=True, exist_ok=True)
+    for sub in subs:
+        code = sub.func(sub)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curves")
     p.add_argument("--scratch", action="store_true",
                    help="ignore checkpoint weights, random initialization")
-    p.add_argument("--freeze-conv", action="store_true", dest="freeze_conv")
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--batch", type=int)
@@ -338,6 +366,7 @@ def main(argv=None) -> int:
         for name in ("seed", "init_seed", "split_seed"):  # gen's range, its file's u64 field
             if not 0 <= (getattr(args, name, None) or 0) < 2**64:
                 raise CliError(f"--{name.replace('_', '-')} must lie in [0, 2**64)", EXIT_CONFIG)
+        _check_paths(*_paths(args))
         return args.func(args)
     except CliError as exc:
         code, message = exc.code, str(exc)

@@ -6,15 +6,16 @@ from the nearest kink than the probe can reach.  kink_margin measures that
 distance and find_check_point scans input seeds for a well-conditioned
 point before any differencing happens.
 
-numeric_gradients probes a whole weight column W[:, j] (or the bias) per
-kernel call: unit o reads only row o of W, so channel o holds the bytes the
-single probe W[o, j] gives.  Each probe's stage output, the unperturbed one
-with channel o (a Model.channels view) swapped in, joins a stack (P, B,
-features) of about GROUP_BYTES that models.run_stages replays to the loss,
-one call per later stage: conv on (P*B, C, L), dense on (P, B, F).  This
-equals a one-probe replay byte for byte while a conv window's output has
-the same bytes in any batch of two or more windows, as with OpenBLAS; at a
-check point of one window (B=1) the last bit may differ.
+numeric_gradients fills a vector laid out like Model.params, probing a whole
+weight column W[:, j] (or the bias) per kernel call: unit o reads only row o
+of W, so channel o holds the bytes the single probe W[o, j] gives.  Each
+probe's stage output, the unperturbed one with channel o (a Model.channels
+view) swapped in, joins a stack (P, B, features) of about GROUP_BYTES that
+models.run_stages replays to the loss, one call per later stage: conv on
+(P*B, C, L), dense on (P, B, F).  This equals a one-probe replay byte for
+byte while a conv window's output has the same bytes in any batch of two or
+more windows, as with OpenBLAS; at a check point of one window (B=1) the
+last bit may differ.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ REL_DENOM_FLOOR = 1e-8
 MIN_KINK_MARGIN = 3e-4
 MAX_TRIES = 500  # input seeds find_check_point scans
 GROUP_BYTES = 1 << 19  # stacked stage outputs replayed per call, about 0.5 MB
+CHECK_BLOCK = 1 << 10  # gradient entries compared per step
 
 
 def relative_error(a, b):
@@ -75,21 +77,20 @@ def find_check_point(model: Model, seed: int = 0) -> tuple[np.ndarray, np.ndarra
     return best_x, labels
 
 
-def numeric_gradients(model: Model, x: np.ndarray,
-                      y: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Central-difference (d_weights, d_bias) of the mean BCE at (x, y),
-    aligned with model.layer_list."""
+def numeric_gradients(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Central-difference gradient of the mean BCE at (x, y), a vector laid
+    out like model.params."""
     probe = model.copy()  # contiguous arrays, so the column views below write through
+    grads = Model(probe.spec, np.empty(probe.params.size))
     stage_in = [cache[0] for cache in forward_batch(probe, x, want_cache=True)[1]]
-    grads = []
-    for stage, (layer, h) in enumerate(zip(probe.layer_list, stage_in)):
+    for stage, (layer, d, h) in enumerate(zip(probe.layer_list, grads.layer_list, stage_in)):
         base = run_stage(probe, stage, h)[0]  # (B, O * length)
         n_out = layer.bias.size
         rows = np.arange(2 * n_out)  # a column's probes, +FD_EPSILON then -FD_EPSILON
         chunks = np.array_split(rows, -(-rows.size // max(1, GROUP_BYTES // base.nbytes)))
-        weight_cols = layer.weights.reshape(n_out, -1)
-        numeric = np.empty((n_out, weight_cols.shape[1] + 1))
-        for j, col in enumerate([*weight_cols.T, layer.bias]):
+        columns = zip([*layer.weights.reshape(n_out, -1).T, layer.bias],
+                      [*d.weights.reshape(n_out, -1).T, d.bias])
+        for col, numeric in columns:
             orig = col.copy()
             col_out = []
             for step in (FD_EPSILON, -FD_EPSILON):
@@ -105,9 +106,8 @@ def numeric_gradients(model: Model, x: np.ndarray,
                 units[np.arange(chunk.size), :, u] = col_out[chunk // n_out, :, u]
                 logits = run_stages(probe, stack, stage + 1)
                 losses[chunk] = L.bce_loss(L.sigmoid(logits[..., 0]), y)
-            numeric[:, j] = (losses[:n_out] - losses[n_out:]) / (2.0 * FD_EPSILON)
-        grads.append((numeric[:, :-1].reshape(layer.weights.shape), numeric[:, -1]))
-    return grads
+            numeric[...] = (losses[:n_out] - losses[n_out:]) / (2.0 * FD_EPSILON)
+    return grads.params
 
 
 def grad_check(model: Model, x: np.ndarray, y: np.ndarray) -> float:
@@ -115,13 +115,13 @@ def grad_check(model: Model, x: np.ndarray, y: np.ndarray) -> float:
     over every parameter; inf when any gradient or error is not finite."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
-    loss, grads, _ = batch_loss_and_grads(model, x, y)
+    loss, _, _, analytic = batch_loss_and_grads(model, x, y)
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss at the evaluation point")
     numeric = numeric_gradients(model, x, y)
-    # one output unit at a time: temporaries the size of a whole layer raised
-    # the process's peak memory
-    worst = np.max([relative_error(a, n).max() for pair_a, pair_n in zip(grads, numeric)
-                    for g_a, g_n in zip(pair_a, pair_n) for a, n in zip(g_a, g_n)])
+    # CHECK_BLOCK entries at a time: temporaries the size of a whole layer
+    # raised the process's peak memory
+    worst = np.max([relative_error(analytic[i : i + CHECK_BLOCK], numeric[i : i + CHECK_BLOCK])
+                    .max() for i in range(0, analytic.size, CHECK_BLOCK)])
     # a NaN or inf gradient on either side makes its error, and so worst, NaN or inf
     return float(worst) if np.isfinite(worst) else np.inf

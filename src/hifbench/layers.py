@@ -3,10 +3,10 @@
 The *_batch functions operate on (batch, channels, length) arrays; training,
 inference and the gradient checks run them.  The conv activations and
 gradients they return are views of channels-last (B, L, C) buffers, the
-layout in which im2col rows and matmul outputs lie.  The conv, ReLU and pool
-kernels can write into buffers their caller allocated (the keyword arguments
-out, cols, offset and d_cols): models runs them on two window halves at
-once, each half filling its rows.  They give a window's rows the same bytes
+layout in which im2col rows and matmul outputs lie.  The kernels can write
+into buffers their caller allocated (keyword arguments such as out, cols
+and d_w): models runs the conv, ReLU and pool kernels on two window halves
+at once, each half filling its rows.  They give a window's rows the same bytes
 whatever other windows share the call (the conv matmuls, with OpenBLAS, in
 calls of 2 or more windows).  The dense matmuls do not, and the conv weight
 and bias gradients sum over the windows, so those run on the whole batch.
@@ -178,20 +178,22 @@ def conv_forward_batch(x: np.ndarray, layer: ConvLayer, *, cols: np.ndarray | No
 def conv_backward_batch(
     grad_out: np.ndarray, cols: np.ndarray | None, layer: ConvLayer, input_shape: tuple,
     input_grad: bool = True, *, d_cols: np.ndarray | None = None, out: np.ndarray | None = None,
+    d_w: np.ndarray | None = None, d_b: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
     """(d_weights, d_bias, d_input).
 
-    d_weights and d_bias, which sum over every window, are None when cols is
-    None; d_input is None when input_grad is False.  d_cols (B*T, C*K) and
-    out (B, L, C), C-contiguous, receive the input gradient's im2col matrix
-    and the channels-last input gradient when given.
+    d_weights and d_bias, which sum over every window, are made when cols is
+    given, d_input when input_grad is True.  C-contiguous buffers receive
+    them when given: d_w and d_b, and d_cols (B*T, C*K) and out (B, L, C),
+    the input gradient's im2col matrix and its channels-last layout.
     """
     b, _, out_len = grad_out.shape
     g_mat = grad_out.transpose(0, 2, 1).reshape(b * out_len, -1)
-    d_w = d_b = d_x = None
+    d_x = None
     if cols is not None:
-        d_w = (g_mat.T @ cols).reshape(layer.weights.shape)
-        d_b = g_mat.sum(axis=0)
+        rows = None if d_w is None else d_w.reshape(layer.out_channels, -1)
+        d_w = np.matmul(g_mat.T, cols, out=rows).reshape(layer.weights.shape)
+        d_b = np.sum(g_mat, axis=0, out=d_b)
     if input_grad:
         if d_cols is None:
             d_cols = np.empty((b * out_len, layer.in_channels * layer.kernel_size))
@@ -281,9 +283,11 @@ def dense_forward_batch(x: np.ndarray, layer: DenseLayer) -> np.ndarray:
 
 
 def dense_backward_batch(
-    grad_out: np.ndarray, x: np.ndarray, layer: DenseLayer, input_grad: bool = True
+    grad_out: np.ndarray, x: np.ndarray, layer: DenseLayer, input_grad: bool = True, *,
+    d_w: np.ndarray | None = None, d_b: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(d_weights, d_bias, d_input); d_input is None when input_grad is False."""
-    d_w = grad_out.T @ x
-    d_b = grad_out.sum(axis=0)
+    """(d_weights, d_bias, d_input), the first two into d_w and d_b when given;
+    d_input is None when input_grad is False."""
+    d_w = np.matmul(grad_out.T, x, out=d_w)
+    d_b = np.sum(grad_out, axis=0, out=d_b)
     return d_w, d_b, grad_out @ layer.weights if input_grad else None

@@ -12,7 +12,8 @@ gradient checks all go through them.  Features enter conv blocks T-major (a
 free view of channels-last activations) and the dense head C-major.
 
 Every layer's weights and bias are views of one vector, Model.params, so
-frozen stages own a prefix of it and trained ones the tail.
+frozen stages own a prefix of it and trained ones the tail.  Each step's
+gradient is one vector of the same layout, into whose views backward writes.
 
 From 2 * HALF_WINDOWS windows, the per-window work of the conv blocks runs
 on two window halves at once, one on the calling thread and one on a single
@@ -229,12 +230,6 @@ class Model:
     def flat_parameters(self) -> np.ndarray:
         return self.params.copy()
 
-    def set_flat_parameters(self, flat: np.ndarray) -> None:
-        if np.size(flat) != self.params.size:
-            raise CheckpointCorruptError(
-                f"parameter vector has {np.size(flat)} entries, model needs {self.params.size}")
-        self.params[...] = flat
-
     def copy(self) -> "Model":
         return Model(self.spec, self.params.copy())
 
@@ -446,11 +441,11 @@ def _conv_forward(model: Model, h: np.ndarray, start: int, stop: int,
 
 
 def _conv_backward(model: Model, grad: np.ndarray, caches: list, start: int,
-                   input_grad: bool) -> tuple[list, np.ndarray | None]:
-    """([(d_weights, d_bias)] of conv stages start..start+len(caches)-1,
-    d_input of stage start or None) from grad (B, features), the gradient of
-    the last stage's output.  Overwrites each cache's pre-activation with
-    its gradient.
+                   input_grad: bool, grads: Model) -> np.ndarray | None:
+    """d_input of stage start, or None, from grad (B, features), the gradient
+    of the last stage's output; writes the weight and bias gradients of conv
+    stages start..start+len(caches)-1 into grads' layers of those stages.
+    Overwrites each cache's pre-activation with its gradient.
 
     Each window half routes its gradient down the chain (pool, ReLU mask,
     d_cols matmul, col2im) into its rows of buffers allocated here.  The
@@ -485,13 +480,12 @@ def _conv_backward(model: Model, grad: np.ndarray, caches: list, start: int,
             g = d_in[j][lo:hi]
 
     _in_halves(n, chain)
-    grads: list = [None] * len(stages)
 
     def reduce(share):
         for j in share:
-            (c, length, *_), (_, d_pre, cols, _) = geo[j], caches[j]
-            grads[j] = L.conv_backward_batch(d_pre, cols, model.layer_list[stages[j]],
-                                             (n, c, length), False)[:2]
+            (c, length, *_), (_, d_pre, cols, _), i = geo[j], caches[j], stages[j]
+            L.conv_backward_batch(d_pre, cols, model.layer_list[i], (n, c, length), False,
+                                  d_w=grads.layer_list[i].weights, d_b=grads.layer_list[i].bias)
 
     if not _halves_pay(n):
         reduce(range(len(stages)))
@@ -504,7 +498,7 @@ def _conv_backward(model: Model, grad: np.ndarray, caches: list, start: int,
             shares[lighter].append(j)
             loads[lighter] += cost[j]
         _both(lambda: reduce(shares[0]), lambda: reduce(shares[1]))
-    return grads, d_in[0]
+    return d_in[0]
 
 
 def run_stage(model: Model, i: int, h: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -582,36 +576,39 @@ def forward(model: Model, window: np.ndarray) -> float:
     return float(forward_batch(model, np.asarray(window)[None, :])[0])
 
 
-def backward_batch(model: Model, caches: list, probs: np.ndarray, y: np.ndarray) -> list:
-    """Mean-BCE gradients, aligned with model.layer_list.
+def backward_batch(model: Model, caches: list, probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mean-BCE gradient, one vector laid out like model.params.
 
     Backpropagation stops at the stage k the caches' forward pass started
-    from: the layers below it get None, and stage k skips its input
+    from: the stages below it get zeros, and stage k skips its input
     gradient, which nothing reads.  The caches are used up: each conv
     stage's pre-activation is overwritten by its gradient.
     """
     n = len(model.layer_list)
     start = n - len(caches)
     dense = max(start, model.n_conv)
-    grads: list = [None] * n
+    grads = Model(model.spec, np.empty(model.params.size))  # after the forward's buffers: see train
+    grads.params[: model.offsets[start]] = 0.0
     grad = L.sigmoid_bce_backward(probs, y)[:, None]
     for i in range(n - 1, dense - 1, -1):
         h, pre = caches[i - start]
         if i < n - 1:  # the output layer has no ReLU
             grad = L.relu_backward(grad, pre)
-        d_w, d_b, grad = L.dense_backward_batch(grad, h, model.layer_list[i], i > start)
-        grads[i] = (d_w, d_b)
+        d_w, d_b = grads.layer_list[i].weights, grads.layer_list[i].bias
+        grad = L.dense_backward_batch(grad, h, model.layer_list[i], i > start, d_w=d_w, d_b=d_b)[2]
     if dense > start:
-        grads[start:dense], _ = _conv_backward(model, grad, caches[: dense - start], start, False)
-    return grads
+        _conv_backward(model, grad, caches[: dense - start], start, False, grads)
+    return grads.params
 
 
 def batch_loss_and_grads(model: Model, x: np.ndarray, y: np.ndarray, start: int = 0):
-    """(loss, grads, probs) of one step on x, the input of stage start."""
+    """(loss, grads, probs, vector) of one step on x, the input of stage start:
+    vector is backward_batch's, grads its (d_weights, d_bias) views, None below start."""
     probs, caches = forward_batch(model, x, want_cache=True, start=start)
     loss = L.bce_loss(probs, y)
-    grads = backward_batch(model, caches, probs, y)
-    return loss, grads, probs
+    vector = backward_batch(model, caches, probs, y)
+    grads = [(l.weights, l.bias) for l in Model(model.spec, vector).layer_list]
+    return loss, [None] * start + grads[start:], probs, vector
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,10 @@ window is rounded differently in the last conv block's matmul: when the
 fit-set size mod batch_size is 1, the two can differ in the last bit.
 
 The trained stages own the tail of the model's parameter vector, which each
-momentum step updates as one vector.  Divergence raises DivergenceError at the
-batch that first overflows, as training runs under np.errstate(over="raise",
-invalid="raise"); the frozen-feature pass counts as epoch 1's batch 0.
+momentum step updates from the same tail of the step's gradient vector.
+Divergence raises DivergenceError at the batch that first overflows, as
+training runs under np.errstate(over="raise", invalid="raise"); the
+frozen-feature pass counts as epoch 1's batch 0.
 """
 
 from __future__ import annotations
@@ -168,13 +169,15 @@ def train(model: Model, dataset: Dataset, config: TrainConfig) -> TrainingRun:
                 for bi, lo in enumerate(range(0, n, config.batch_size)):
                     at = (epoch, bi)
                     sel = order[lo : lo + config.batch_size]
-                    loss, grads, _ = batch_loss_and_grads(work, x_train[sel], y_train[sel],
-                                                          frozen)
+                    # grad lives until the next step's replaces it: made after this
+                    # step's buffers, it keeps glibc from trimming the heap they are
+                    # freed to, so the next step's buffers reuse their pages
+                    loss, _, _, grad = batch_loss_and_grads(work, x_train[sel], y_train[sel],
+                                                            frozen)
                     if not np.isfinite(loss):
                         raise DivergenceError(*at)
                     velocity *= config.momentum
-                    velocity -= config.learning_rate * np.concatenate(
-                        [g.ravel() for pair in grads[frozen:] for g in pair])
+                    velocity -= config.learning_rate * grad[work.offsets[frozen]:]
                     trained += velocity
                     loss_sum += loss * sel.size
                 train_loss = loss_sum / n
@@ -201,7 +204,7 @@ def train(model: Model, dataset: Dataset, config: TrainConfig) -> TrainingRun:
 
     # early stopping keeps the weights from the best validation epoch
     if best_params is not None:
-        work.set_flat_parameters(best_params)
+        work.params[...] = best_params
 
     run = TrainingRun(records, work, config)
     if len(records) >= 2:

@@ -21,3 +21,32 @@ def small_dataset(small_config):
 def tiny_target_dataset():
     cfg = dataclasses.replace(profiles.CASE2_GEN, count=60)
     return build_dataset(cfg)
+
+
+@dataclasses.dataclass
+class Call:
+    args: tuple
+    kwargs: dict
+    result: object = None
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """spy(owner, name) replaces owner.name by a wrapper that calls through
+    with whatever arguments it gets, and returns the list of its calls, each
+    a Call appended on entry, its result set on return."""
+
+    def install(owner, name: str) -> list[Call]:
+        calls: list[Call] = []
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            call = Call(args, kwargs)
+            calls.append(call)
+            call.result = real(*args, **kwargs)
+            return call.result
+
+        monkeypatch.setattr(owner, name, wrapper)
+        return calls
+
+    return install

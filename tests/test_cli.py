@@ -367,18 +367,10 @@ class TestFinetune:
                        "--epochs", 1) == cli.EXIT_FINGERPRINT
         assert run_cli("eval", "--ckpt", src, "--data", dataset_file) == cli.EXIT_FINGERPRINT
 
-    def test_training_commands_call_cli_train_once(self, dataset_file, tmp_path,
-                                                   monkeypatch):
+    def test_training_commands_call_cli_train_once(self, dataset_file, tmp_path, spy):
         """The benchmark times training by replacing cli.train, so each
         training command must reach train() through that name, once."""
-        calls = []
-        inner = cli.train
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "train", counting)
+        calls = spy(cli, "train")
         src = tmp_path / "src.ckpt"
         finetune = ["finetune", "--ckpt", src, "--data", dataset_file, "--epochs", 1]
         for argv in (["train", "--data", dataset_file, "--model", "mlp", "--epochs", 1],
@@ -582,12 +574,45 @@ class TestFileErrors:
         assert str(data) in capsys.readouterr().err
 
 
+class TestOutputPaths:
+    """No command writes one file twice, or over one of its inputs."""
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "d.dataset", "--model", "mlp", "--out", "x", "--curves", "x"],
+        ["train", "--data", "d.dataset", "--model", "mlp", "--out", "x",
+         "--curves", "x.manifest.json"],
+        ["train", "--data", "d.dataset", "--model", "x.curves.csv", "--out", "x.ckpt"],
+        ["eval", "--ckpt", "m.ckpt", "--data", "d.dataset", "--out", "d.dataset"],
+        ["eval", "--ckpt", "m.ckpt", "n.ckpt", "--data", "d.dataset", "--out", "./n.ckpt"],
+        ["gen", "--config", "c.json", "--out", "c.json"],
+        ["finetune", "--ckpt", "m.ckpt", "--data", "d.dataset", "--out", "sub/../m.ckpt"],
+        ["replicate", "case2", "--outdir", ".", "--source-ckpt", "case2.dataset"],
+    ], ids=["train_out_is_curves", "train_curves_is_manifest", "train_curves_is_spec",
+            "eval_out_is_data", "eval_out_is_a_ckpt", "gen_out_is_config", "finetune_out_is_ckpt",
+            "replicate_gen_out_is_source_ckpt"])
+    def test_collision_exits_2_before_any_work(self, small_dataset, small_config, tmp_path,
+                                               monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        write_dataset(small_dataset, tmp_path / "d.dataset")
+        for name in ("m.ckpt", "n.ckpt", "case2.dataset"):
+            save_checkpoint(build_model(SMALL_MLP, 0), {}, tmp_path / name)
+        (tmp_path / "c.json").write_text(json.dumps(small_config.to_dict()))
+        (tmp_path / "x.curves.csv").write_text(json.dumps(SMALL_MLP.to_dict()))
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert run_cli(*argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "same file" in err[0]
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["train", "--out", "x.ckpt"],  # --data missing
         ["gradcheck", "--seed", "abc"],
         ["eval", "--ckpt", "a", "--data", "b", "--threshold", "-inf"],  # read as an option
-    ], ids=["missing_required", "bad_int", "option_like_value"])
+        ["finetune", "--ckpt", "a", "--data", "b", "--out", "c", "--freeze-conv"],  # removed
+    ], ids=["missing_required", "bad_int", "option_like_value", "freeze_conv"])
     def test_parser_errors_exit_1(self, argv, capsys):
         assert run_cli(*argv) == cli.EXIT_USAGE
         err = capsys.readouterr().err

@@ -11,7 +11,7 @@ from hifbench.gradcheck import (
     numeric_gradients,
     relative_error,
 )
-from hifbench.models import CnnSpec, ConvBlockSpec, build_model, standardize
+from hifbench.models import CnnSpec, ConvBlockSpec, Model, build_model, standardize
 
 from test_models import TINY_CNN, TINY_MLP
 
@@ -125,13 +125,12 @@ class TestColumnProbes:
     def test_bytes_match_one_probe_replay(self, spec, seed):
         model = build_model(spec, seed)
         x, y = find_check_point(model, seed=seed)
-        got = numeric_gradients(model, x, y)
+        got = Model(spec, numeric_gradients(model, x, y)).layer_list  # raises on another size
         want = one_probe_numeric_gradients(model, x, y)
-        assert len(got) == len(want) == len(model.layer_list)
-        for (g_w, g_b), (w_w, w_b), layer in zip(got, want, model.layer_list):
-            assert g_w.shape == layer.weights.shape and g_b.shape == layer.bias.shape
-            assert g_w.tobytes() == w_w.tobytes()
-            assert g_b.tobytes() == w_b.tobytes()
+        assert len(want) == len(model.layer_list)
+        for g, (w_w, w_b) in zip(got, want):
+            assert g.weights.tobytes() == w_w.tobytes()
+            assert g.bias.tobytes() == w_b.tobytes()
 
     # 1: one probe per replay; 400: groups of 3 probes in the hidden dense
     # layer, some holding +epsilon and -epsilon probes together
@@ -143,8 +142,9 @@ class TestColumnProbes:
         x, y = find_check_point(model, seed=0)
         want = one_probe_numeric_gradients(model, x, y)
         monkeypatch.setattr(G, "GROUP_BYTES", group_bytes)
-        for (g_w, g_b), (w_w, w_b) in zip(numeric_gradients(model, x, y), want):
-            assert g_w.tobytes() == w_w.tobytes() and g_b.tobytes() == w_b.tobytes()
+        got = Model(TINY_CNN, numeric_gradients(model, x, y)).layer_list
+        for g, (w_w, w_b) in zip(got, want):
+            assert g.weights.tobytes() == w_w.tobytes() and g.bias.tobytes() == w_b.tobytes()
 
     def test_oracle_does_not_run_the_stage_list(self, monkeypatch):
         import hifbench.gradcheck as G
@@ -187,9 +187,10 @@ class TestGradCheck:
 
         real = L.dense_backward_batch
 
-        def wrong(*args, **kwargs):
-            d_w, d_b, d_x = real(*args, **kwargs)
-            return d_w * 1.01, d_b, d_x
+        def wrong(*args, d_w, **kwargs):
+            out = real(*args, d_w=d_w, **kwargs)
+            d_w *= 1.01
+            return out
 
         model = build_model(TINY_MLP, 1)
         x, y = find_check_point(model, seed=1)
@@ -202,9 +203,11 @@ class TestGradCheck:
 
         real = L.conv_backward_batch
 
-        def wrong(*args, **kwargs):
-            d_w, d_b, d_x = real(*args, **kwargs)
-            return None if d_w is None else d_w * 1.01, d_b, d_x  # None: an input-gradient call
+        def wrong(*args, d_w=None, **kwargs):
+            out = real(*args, d_w=d_w, **kwargs)
+            if d_w is not None:  # None: an input-gradient call
+                d_w *= 1.01
+            return out
 
         model = build_model(TINY_CNN, 1)
         x, y = find_check_point(model, seed=1)
@@ -216,11 +219,10 @@ class TestGradCheck:
 
         real = L.dense_backward_batch
 
-        def nan_for_one_weight(*args, **kwargs):
-            d_w, d_b, d_x = real(*args, **kwargs)
-            d_w = d_w.copy()
+        def nan_for_one_weight(*args, d_w, **kwargs):
+            out = real(*args, d_w=d_w, **kwargs)
             d_w.flat[0] = np.nan
-            return d_w, d_b, d_x
+            return out
 
         model = build_model(TINY_MLP, 1)
         x, y = find_check_point(model, seed=1)

@@ -20,7 +20,7 @@ from hifbench import models, training, waveforms
 from hifbench.models import build_model, forward_batch, standardize
 from hifbench.profiles import CNN_SPEC
 
-from test_models import TINY_CNN
+from test_models import TINY_CNN, TINY_MLP
 
 
 def serial_forward(model, x):
@@ -79,13 +79,30 @@ class TestBytes:
         rng = np.random.default_rng(batch)
         x = rng.normal(size=(batch, spec.input_length)) * rng.uniform(0.1, 10.0, (batch, 1))
         y = (rng.random(batch) < 0.5).astype(np.float64)
-        loss, grads, probs = models.batch_loss_and_grads(model, x, y)
+        loss, grads, probs, _ = models.batch_loss_and_grads(model, x, y)
         r_loss, r_grads, r_probs = serial_step(model, x, y)
         assert np.float64(loss).tobytes() == np.float64(r_loss).tobytes()
         assert probs.tobytes() == r_probs.tobytes()
         for (d_w, d_b), (r_w, r_b) in zip(grads, r_grads):
             assert d_w.tobytes() == r_w.tobytes()
             assert d_b.tobytes() == r_b.tobytes()
+
+    @pytest.mark.parametrize("spec, start", [(CNN_SPEC, 0), (CNN_SPEC, len(CNN_SPEC.blocks)),
+                                             (TINY_MLP, 0), (TINY_MLP, 2)],
+                             ids=["cnn", "cnn_frozen_conv", "mlp", "mlp_from_stage_2"])
+    @pytest.mark.parametrize("batch", [7, HALVES + 1])
+    def test_gradient_vector_equals_serial_composition(self, spec, start, batch):
+        """The trained tail of the gradient vector holds the serial kernels'
+        (d_weights, d_bias) of each trained stage, in layer_list order."""
+        model = build_model(spec, 3)
+        rng = np.random.default_rng(batch)
+        x = rng.normal(size=(batch, spec.input_length))
+        y = (rng.random(batch) < 0.5).astype(np.float64)
+        want = np.concatenate([g.ravel() for pair in serial_step(model, x, y)[1][start:]
+                               for g in pair])
+        stored = models.run_stages(model, x, stop=start)
+        vector = models.batch_loss_and_grads(model, stored, y, start)[3]
+        assert vector[model.offsets[start]:].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [64, 65, 66, 130])
     def test_forward_equals_stage_by_stage_composition(self, n):
@@ -168,22 +185,16 @@ class TestErrors:
             with pytest.raises(FloatingPointError, match="overflow"):
                 models.batch_loss_and_grads(model, x, y)
 
-    def test_train_diverges_at_the_batch_whose_second_half_overflows(self, monkeypatch):
+    def test_train_diverges_at_the_batch_whose_second_half_overflows(self, spy):
         x = sines(4 * HALVES)  # a fit set of 3 batches of HALVES windows
         windows = [waveforms.Window(row, waveforms.Label(i % 2), waveforms.SystemId.SOURCE, i)
                    for i, row in enumerate(x)]
         config = training.TrainConfig(epochs=1, batch_size=HALVES, seed=3)
         model = spike_model()
-        batches = []
-        real = training.batch_loss_and_grads
-
-        def recording(m, xb, yb, start):
-            batches.append(xb.copy())
-            return real(m, xb, yb, start)
-
-        monkeypatch.setattr(training, "batch_loss_and_grads", recording)
+        calls = spy(training, "batch_loss_and_grads")
         dataset = waveforms.Dataset(windows, 0, waveforms.SCENARIOS["source"])
         training.train(model, dataset, config)
+        batches = [c.args[1] for c in calls]
         # a window that lands in the second half of batch 2
         assert len(batches) == 3 and len(batches[2]) == HALVES
         row = batches[2][-2]

@@ -1,4 +1,3 @@
-import collections
 import dataclasses
 import struct
 import zlib
@@ -18,6 +17,7 @@ from hifbench.models import (
     ConvBlockSpec,
     FingerprintMismatchError,
     MlpSpec,
+    Model,
     SpecError,
     batch_loss_and_grads,
     build_model,
@@ -128,14 +128,14 @@ class TestBuildAndForward:
         assert np.all(np.isfinite(z))
         assert np.all(z == 0.0)
 
-    def test_set_flat_parameters_roundtrip(self):
-        model = build_model(TINY_CNN, 5)
-        flat = model.flat_parameters()
-        clone = build_model(TINY_CNN, 6)
-        clone.set_flat_parameters(flat)
-        assert np.array_equal(clone.flat_parameters(), flat)
-        with pytest.raises(CheckpointCorruptError):
-            clone.set_flat_parameters(flat[:-1])
+    def test_model_over_a_parameter_vector(self):
+        flat = build_model(TINY_CNN, 5).flat_parameters()
+        clone = Model(TINY_CNN, flat)
+        assert clone.params is flat
+        assert clone.flat_parameters().tobytes() == flat.tobytes()
+        for wrong_size in (flat[:-1], np.append(flat, 0.0)):
+            with pytest.raises(ValueError):
+                Model(TINY_CNN, wrong_size)
 
     def test_copy_is_exact_and_independent(self):
         model = build_model(TINY_CNN, 5)
@@ -180,26 +180,38 @@ class TestBackwardStart:
         (TINY_MLP, 2, [False, True]),
         (TINY_CNN, 4, [False, True]),
     ], ids=["mlp", "mlp_from_stage_2", "cnn_frozen_conv"])
-    def test_first_trained_dense_layer_skips_its_input_gradient(self, monkeypatch, spec,
-                                                                start, want):
-        skipped = []
-        real = L.dense_backward_batch
-
-        def recording(*args):
-            out = real(*args)
-            skipped.append(out[2] is None)
-            return out
-
+    def test_first_trained_dense_layer_skips_its_input_gradient(self, spy, spec, start, want):
         model, h, y = stored_features(spec, start)
-        monkeypatch.setattr(L, "dense_backward_batch", recording)
+        calls = spy(L, "dense_backward_batch")
         batch_loss_and_grads(model, h, y, start)
-        assert skipped == want
+        assert [call.result[2] is None for call in calls] == want
+
+    @pytest.mark.parametrize("spec, start", [(TINY_CNN, 0), (TINY_CNN, 4), (TINY_MLP, 0),
+                                             (TINY_MLP, 2)],
+                             ids=["cnn", "cnn_frozen_conv", "mlp", "mlp_from_stage_2"])
+    def test_layer_gradients_are_views_of_one_vector(self, spec, start):
+        """Each trained layer's (d_weights, d_bias) sits in the gradient
+        vector where the layer's weights and bias sit in params; the entries
+        of the stages below start are zero."""
+        model, h, y = stored_features(spec, start)
+        _, grads, _, vector = batch_loss_and_grads(model, h, y, start)
+        assert vector.dtype == np.float64 and vector.shape == model.params.shape
+        assert grads[:start] == [None] * start
+
+        def at(a, base):  # a's first entry, as an index into base
+            return (a.ctypes.data - base.ctypes.data) // base.itemsize
+
+        for pair, layer in zip(grads[start:], model.layer_list[start:]):
+            for g, p in zip(pair, (layer.weights, layer.bias)):
+                assert np.shares_memory(g, vector) and g.flags.c_contiguous
+                assert (g.shape, at(g, vector)) == (p.shape, at(p, model.params))
+        assert not vector[: model.offsets[start]].any()
 
 
 def assert_same_step(want, got, start):
     """Steps (loss, grads, probs) from stage 0 (want) and from stage start (got)
     have the same bytes, on grads[start:]; got's grads below start are None."""
-    (loss, grads, probs), (s_loss, s_grads, s_probs) = want, got
+    (loss, grads, probs, _), (s_loss, s_grads, s_probs, _) = want, got
     assert np.float64(s_loss).tobytes() == np.float64(loss).tobytes()
     assert s_probs.tobytes() == probs.tobytes()
     assert s_grads[:start] == [None] * start
@@ -293,7 +305,9 @@ class TestChannelsLastLayout:
                                               blk.pool_stride)
             assert out.tobytes() == flat(want, t_major).tobytes()
             g = rng.normal(size=want.shape)
-            [(d_w, d_b)], d_h = models._conv_backward(model, flat(g, t_major), [cache], i, True)
+            grads = Model(spec, np.empty(model.params.size))
+            d_h = models._conv_backward(model, flat(g, t_major), [cache], i, True, grads)
+            d_w, d_b = grads.layer_list[i].weights, grads.layer_list[i].bias
             d_pre = add_at_maxpool_backward(g, argmax, pre.shape[2]) * (pre > 0)
             r_w, r_b, r_x = contiguous_conv_backward(d_pre, cols, layer, x.shape)
             assert d_w.tobytes() == r_w.tobytes()
@@ -318,23 +332,16 @@ class TestBatchSizeInvariance:
             assert got.tobytes() == want[-n:].tobytes(), f"batch of {n}"
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 66, 129, 1000, 1001])
-    def test_chunked_forward_equals_one_pass(self, monkeypatch, n):
+    def test_chunked_forward_equals_one_pass(self, spy, n):
         model = build_model(CNN_SPEC, 2)
         x = np.random.default_rng(n).normal(size=(n, CNN_SPEC.input_length))
         h = standardize(x)
         for i in range(len(model.layer_list)):
             h, _ = run_stage(model, i, h)
         assert run_stages(model, x).tobytes() == h.tobytes()  # logits: dense rows unchunked
-        sizes = []
-        real = L.conv_forward_batch
-
-        def recording(inputs, layer, **buffers):
-            if layer is model.layer_list[0]:
-                sizes.append(len(inputs))
-            return real(inputs, layer, **buffers)
-
-        monkeypatch.setattr(L, "conv_forward_batch", recording)
+        calls = spy(L, "conv_forward_batch")
         assert forward_batch(model, x).tobytes() == L.sigmoid(h[:, 0]).tobytes()
+        sizes = [len(c.args[0]) for c in calls if c.args[1] is model.layer_list[0]]
         full = max(0, (n - 2) // CONV_CHUNK)  # a 1-window tail joins the last chunk
         chunks = [CONV_CHUNK] * full + [n - full * CONV_CHUNK]
         # each chunk of 2 * HALF_WINDOWS or more windows runs as two halves, on two threads
@@ -347,14 +354,8 @@ class TestBatchSizeInvariance:
 KERNELS = ["conv_forward_batch", "conv_backward_batch", "maxpool_forward_batch",
            "maxpool_backward_batch", "relu_forward", "relu_backward", "dense_forward_batch",
            "dense_backward_batch"]
-
-
-def _counting(calls, name, real):
-    # shapes come positionally, where perfbench reads them; caller buffers by keyword
-    def counting(*args, **buffers):
-        calls[name] += 1
-        return real(*args, **buffers)
-    return counting
+POSITIONAL_SHAPES = dict(conv_forward_batch=2, conv_backward_batch=4, maxpool_forward_batch=1,
+                         maxpool_backward_batch=3, dense_forward_batch=2, dense_backward_batch=3)
 
 
 class TestKernelCalls:
@@ -369,14 +370,14 @@ class TestKernelCalls:
         (TINY_MLP, 2, dict(relu_forward=1, dense_forward_batch=2, dense_backward_batch=2,
                            relu_backward=1)),
     ], ids=["cnn", "cnn_frozen_conv", "mlp", "mlp_from_stage_2"])
-    def test_one_step_calls_each_kernel_as_often_as_its_stages(self, monkeypatch, spec,
-                                                               start, want):
+    def test_one_step_calls_each_kernel_as_often_as_its_stages(self, spy, spec, start, want):
         model, h, y = stored_features(spec, start)
-        calls = collections.Counter()
-        for name in KERNELS:
-            monkeypatch.setattr(L, name, _counting(calls, name, getattr(L, name)))
+        calls = {name: spy(L, name) for name in KERNELS}
         batch_loss_and_grads(model, h, y, start)
-        assert dict(calls) == want
+        assert {name: len(c) for name, c in calls.items() if c} == want
+        # perfbench reads the shapes from positional arguments; buffers come by keyword
+        for name, n_args in POSITIONAL_SHAPES.items():
+            assert all(len(c.args) >= n_args for c in calls[name]), name
 
 
 def rewrite_metadata(path, meta_blob: bytes) -> None:

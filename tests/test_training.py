@@ -88,25 +88,18 @@ class TestTrainLoop:
         assert not np.array_equal(head_before, run.model.layer_list[-1].weights)
 
     @pytest.mark.parametrize("freeze", [False, True], ids=["all", "freeze_conv"])
-    def test_step_has_the_bytes_of_a_per_layer_momentum_update(self, small_dataset,
-                                                              monkeypatch, freeze):
+    def test_step_has_the_bytes_of_a_per_layer_momentum_update(self, small_dataset, spy,
+                                                              freeze):
         """train steps the trained tail of Model.params as one vector; replaying
         its gradients through a per-layer update gives the same bytes."""
         from hifbench import training
         from hifbench.profiles import CNN_SPEC
 
-        steps = []
-        real = training.batch_loss_and_grads
-
-        def recording(*args):
-            out = real(*args)
-            steps.append([(d_w.copy(), d_b.copy()) for d_w, d_b in filter(None, out[1])])
-            return out
-
-        monkeypatch.setattr(training, "batch_loss_and_grads", recording)
+        calls = spy(training, "batch_loss_and_grads")
         model = build_model(CNN_SPEC, 4)
         cfg = quick_config(epochs=2, freeze_conv=freeze)
         run = train(model, small_dataset, cfg)
+        steps = [list(filter(None, c.result[1])) for c in calls]
 
         ref = model.copy()
         trained = ref.layer_list[len(ref.layer_list) - len(steps[0]):]
@@ -122,20 +115,13 @@ class TestTrainLoop:
                 layer.bias += v_b
         assert ref.flat_parameters().tobytes() == run.model.flat_parameters().tobytes()
 
-    def test_freeze_conv_runs_the_conv_blocks_once(self, small_dataset, monkeypatch):
+    def test_freeze_conv_runs_the_conv_blocks_once(self, small_dataset, spy):
         from hifbench import layers as L
         from hifbench.models import CONV_CHUNK, HALF_WINDOWS
         from hifbench.profiles import CNN_SPEC
         from hifbench.waveforms import split
 
-        calls = []
-        real = L.conv_forward_batch
-
-        def counting(x, layer, **buffers):
-            calls.append(x.shape[0])
-            return real(x, layer, **buffers)
-
-        monkeypatch.setattr(L, "conv_forward_batch", counting)
+        calls = spy(L, "conv_forward_batch")
         cfg = quick_config(freeze_conv=True)
         n_fit = len(split(small_dataset, 1.0 - cfg.validation_fraction, cfg.seed)[0])
 
@@ -148,25 +134,20 @@ class TestTrainLoop:
             calls.clear()
             train(build_model(CNN_SPEC, 4), small_dataset, dataclasses.replace(cfg, epochs=epochs))
             assert len(calls) == 4 * n_calls
-            assert sum(calls) == 4 * len(small_dataset)  # every window through every block once
+            # every window through every block once
+            assert sum(c.args[0].shape[0] for c in calls) == 4 * len(small_dataset)
 
-    def test_frozen_store_is_one_pass_at_batch_size_1(self, small_dataset, monkeypatch):
+    def test_frozen_store_is_one_pass_at_batch_size_1(self, small_dataset, spy):
         from hifbench import training
         from hifbench.models import run_stages
         from hifbench.profiles import CNN_SPEC
         from hifbench.waveforms import split
 
-        stored = []
-        real = training.batch_loss_and_grads
-
-        def recording(m, x, y, start):
-            stored.append(x.copy())
-            return real(m, x, y, start)
-
-        monkeypatch.setattr(training, "batch_loss_and_grads", recording)
+        calls = spy(training, "batch_loss_and_grads")
         cfg = quick_config(epochs=1, batch_size=1, freeze_conv=True)
         model = build_model(CNN_SPEC, 4)
         train(model, small_dataset, cfg)
+        stored = [c.args[1] for c in calls]
         fit, _ = split(small_dataset, 1.0 - cfg.validation_fraction, cfg.seed)
         want = run_stages(model, fit.to_arrays()[0], stop=len(CNN_SPEC.blocks))
         assert len(stored) == len(want)

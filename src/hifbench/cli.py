@@ -80,7 +80,7 @@ def _load_gen_config(args) -> GenConfig:
     if args.config:
         try:
             text = Path(args.config).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CliError(f"cannot read config: {exc}", EXIT_CONFIG) from exc
         return GenConfig.from_json(text, overrides)
     raise CliError("gen needs --profile or --config", EXIT_USAGE)
@@ -93,7 +93,7 @@ def _model_spec(name: str):
         return profiles.MLP_SPEC
     try:
         return spec_from_dict(json.loads(Path(name).read_text()))
-    except (OSError, json.JSONDecodeError, SpecError, KeyError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, SpecError, KeyError) as exc:
         raise CliError(f"cannot load model spec {name!r}: {exc}", EXIT_CONFIG) from exc
 
 
@@ -125,8 +125,9 @@ def _curves_path(args) -> Path:
 def _paths(args) -> tuple[list, list]:
     """(outputs, inputs) of a command, each a list of (flag, path)."""
     out = getattr(args, "out", None)
-    outputs = [("--out", out), ("the manifest", f"{out}.manifest.json")] if out else []
-    if out and args.cmd in ("train", "finetune"):
+    outputs = [] if out is None else [("--out", out), ("the manifest", f"{out}.manifest.json")]
+    # the default curves path needs a name; _check_paths refuses an --out without one
+    if out and Path(out).name and args.cmd in ("train", "finetune"):
         outputs.append(("--curves", _curves_path(args)))
     ckpts = getattr(args, "ckpt", None)
     inputs = [("--data", getattr(args, "data", None)), ("--config", getattr(args, "config", None)),
@@ -137,11 +138,13 @@ def _paths(args) -> tuple[list, list]:
 
 
 def _check_paths(outputs: list, inputs: list) -> None:
-    """Exit 2 when two outputs, or an output and an input, are one path: one
-    of the two files would be lost."""
+    """Exit 2 when an output names no file, or when two outputs, or an output
+    and an input, are one path: one of the two files would be lost."""
     claimed: dict = {}  # resolved path -> the output that writes it
     for is_output, named in ((True, outputs), (False, inputs)):
         for name, path in named:
+            if is_output and not Path(path).name:  # '', '.', '/': nowhere to write
+                raise CliError(f"{name} {str(path)!r} names no file", EXIT_CONFIG)
             key = os.path.realpath(path) if path else None
             if key in claimed:
                 raise CliError(f"{claimed[key]} and {name} {path} are the same file", EXIT_CONFIG)

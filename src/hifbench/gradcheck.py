@@ -8,14 +8,15 @@ point before any differencing happens.
 
 numeric_gradients fills a vector laid out like Model.params, probing a whole
 weight column W[:, j] (or the bias) per kernel call: unit o reads only row o
-of W, so channel o holds the bytes the single probe W[o, j] gives.  Each
-probe's stage output, the unperturbed one with channel o (a Model.channels
-view) swapped in, joins a stack (P, B, features) of about GROUP_BYTES that
-models.run_stages replays to the loss, one call per later stage: conv on
-(P*B, C, L), dense on (P, B, F).  This equals a one-probe replay byte for
-byte while a conv window's output has the same bytes in any batch of two or
-more windows, as with OpenBLAS; at a check point of one window (B=1) the
-last bit may differ.
+of W, so channel o holds the bytes the single probe W[o, j] gives.  The
+probed stage k reruns through models.run_stages(model, h, k, k + 1), stage 0
+on the raw windows, which run_stages standardizes.  Each probe's stage
+output, the unperturbed one with channel o (a Model.channels view) swapped
+in, joins a stack (P, B, features) of about GROUP_BYTES that run_stages
+replays to the loss, one call per later stage: conv on (P*B, C, L), dense on
+(P, B, F).  This equals a one-probe replay byte for byte while a conv
+window's output has the same bytes in any batch of two or more windows, as
+with OpenBLAS; at a check point of one window (B=1) the last bit may differ.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import layers as L
-from .models import Model, batch_loss_and_grads, forward_batch, run_stage, run_stages
+from .models import Model, batch_loss_and_grads, forward_batch, run_stages
 
 FD_EPSILON = 1e-5
 REL_DENOM_FLOOR = 1e-8
@@ -82,9 +83,9 @@ def numeric_gradients(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     out like model.params."""
     probe = model.copy()  # contiguous arrays, so the column views below write through
     grads = Model(probe.spec, np.empty(probe.params.size))
-    stage_in = [cache[0] for cache in forward_batch(probe, x, want_cache=True)[1]]
+    stage_in = [x] + [cache[0] for cache in forward_batch(probe, x, want_cache=True)[1][1:]]
     for stage, (layer, d, h) in enumerate(zip(probe.layer_list, grads.layer_list, stage_in)):
-        base = run_stage(probe, stage, h)[0]  # (B, O * length)
+        base = run_stages(probe, h, stage, stage + 1)  # (B, O * length)
         n_out = layer.bias.size
         rows = np.arange(2 * n_out)  # a column's probes, +FD_EPSILON then -FD_EPSILON
         chunks = np.array_split(rows, -(-rows.size // max(1, GROUP_BYTES // base.nbytes)))
@@ -95,7 +96,7 @@ def numeric_gradients(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
             col_out = []
             for step in (FD_EPSILON, -FD_EPSILON):
                 col[...] = orig + step
-                col_out.append(run_stage(probe, stage, h)[0])
+                col_out.append(run_stages(probe, h, stage, stage + 1))
             col[...] = orig
             col_out = probe.channels(stage, np.stack(col_out))  # (2, B, O, T)
             losses = np.empty(rows.size)

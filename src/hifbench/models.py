@@ -4,12 +4,12 @@ architecture fingerprint (the transfer-learning handoff unit).
 
 A network is a list of stages, one per entry of layer_list: a conv block
 (conv -> ReLU -> max pool) or a dense layer (with a ReLU unless it is the
-output layer).  _conv_forward and _conv_backward run a chain of conv blocks,
-run_stage one stage.  run_stages and backward_batch run the list from any
-stage k, given that stage's input, and backward stops at the stage its
-forward pass started from; training, its frozen-feature store and the
-gradient checks all go through them.  Features enter conv blocks T-major (a
-free view of channels-last activations) and the dense head C-major.
+output layer).  _conv_forward and _conv_backward run a chain of conv blocks.
+run_stages runs any range of stages, from its first stage's input, and
+backward_batch back to the stage its forward pass started from; training,
+its frozen-feature store and the gradient checks all go through them.
+Features enter conv blocks T-major (a free view of channels-last
+activations) and the dense head C-major.
 
 Every layer's weights and bias are views of one vector, Model.params, so
 frozen stages own a prefix of it and trained ones the tail.  Each step's
@@ -179,7 +179,7 @@ def spec_from_dict(d: dict) -> "CnnSpec | MlpSpec":
             )
     except SpecError:
         raise
-    except (TypeError, ValueError) as exc:  # a block of another arity, or a non-integer width
+    except (TypeError, ValueError, OverflowError) as exc:  # a bad block, a width "x" or 1e400
         raise SpecError(f"malformed {kind} spec: {exc}") from exc
     raise SpecError(f"unknown spec kind: {kind!r}")
 
@@ -195,14 +195,15 @@ class Model:
     params[offsets[i] : offsets[i + 1]], its weights and then its biases."""
 
     def __init__(self, spec: "CnnSpec | MlpSpec", params: np.ndarray):
+        shapes = _layer_shapes(spec)
+        needed = _parameter_count(shapes)
+        if params.size != needed:
+            raise ValueError(f"parameter vector has {params.size} entries, spec needs {needed}")
         self.spec, self.params, self.layer_list, self.offsets = spec, params, [], [0]
-        for cls, shape in _layer_shapes(spec):
+        for cls, shape in shapes:
             lo, hi = self.offsets[-1], self.offsets[-1] + math.prod(shape)
             self.layer_list.append(cls(params[lo:hi].reshape(shape), params[hi : hi + shape[0]]))
             self.offsets.append(hi + shape[0])
-        if self.offsets[-1] != params.size:
-            raise ValueError(f"parameter vector has {params.size} entries, "
-                             f"spec needs {self.offsets[-1]}")
 
     def pool(self, i: int) -> tuple[int, int] | None:
         """(width, stride) of stage i's max pool; None for a dense stage or past the last."""
@@ -251,10 +252,15 @@ def _layer_shapes(spec) -> list[tuple[type, tuple[int, ...]]]:
     return shapes
 
 
+def _parameter_count(shapes: list) -> int:
+    """Entries of a parameter vector over _layer_shapes(spec): weights and biases."""
+    return sum(math.prod(shape) + shape[0] for _, shape in shapes)
+
+
 def build_model(spec, init_seed: int) -> Model:
     """He-initialized weights, zero biases; deterministic in init_seed."""
     rng = np.random.default_rng(np.random.SeedSequence([init_seed, 0x1417]))
-    count = sum(math.prod(shape) + shape[0] for _, shape in _layer_shapes(spec))
+    count = _parameter_count(_layer_shapes(spec))
     try:
         model = Model(spec, np.zeros(count))
         for w in (layer.weights for layer in model.layer_list):
@@ -356,17 +362,13 @@ def _rows(buf: np.ndarray, lo: int, hi: int, *shape: int) -> np.ndarray:
         hi - lo, *shape)
 
 
-def _conv_geometry(model: Model, stages: range, features: int) -> list[tuple[int, ...]]:
-    """(C, L, K, O, T, pooled length) of each conv stage, the first on inputs
-    of `features` values."""
+def _conv_geometry(model: Model, stages: range) -> list[tuple[int, ...]]:
+    """(C, L, K, O, T, pooled length) of each conv stage."""
+    lengths = model.spec.feature_lengths()  # the input's, then after each conv and each pool
     geo = []
     for i in stages:
-        layer = model.layer_list[i]
-        c, k, o = layer.in_channels, layer.kernel_size, layer.out_channels
-        length = features // c
-        t = L.conv_output_length(length, k)
-        geo.append((c, length, k, o, t, L.pool_output_length(t, *model.pool(i))))
-        features = o * geo[-1][5]
+        o, c, k = model.layer_list[i].weights.shape
+        geo.append((c, lengths[2 * i], k, o, lengths[2 * i + 1], lengths[2 * i + 2]))
     return geo
 
 
@@ -400,7 +402,7 @@ def _conv_forward(model: Model, h: np.ndarray, start: int, stop: int,
     """
     n = math.prod(h.shape[:-1])
     stages = range(start, stop)
-    geo = _conv_geometry(model, stages, h.shape[-1])
+    geo = _conv_geometry(model, stages)
     col_sizes = [t * c * k for c, _, k, _, t, _ in geo]
     pre_sizes = [t * o for *_, o, t, _ in geo]
     out_sizes = [o * tp for *_, o, _, tp in geo]
@@ -451,12 +453,12 @@ def _conv_backward(model: Model, grad: np.ndarray, caches: list, start: int,
     d_cols matmul, col2im) into its rows of buffers allocated here.  The
     weight and bias gradients, which sum over the windows, are then one call
     each on the whole batch: on the calling thread when the batch runs as one
-    part, else shared out between the two threads, the call that makes a
+    part, else alternating between the two threads, the call that makes a
     stage's gradient being the same on either.
     """
     n = len(grad)
     stages = range(start, start + len(caches))
-    geo = _conv_geometry(model, stages, caches[0][0].shape[-1])
+    geo = _conv_geometry(model, stages)
     wants = [i > start or input_grad for i in stages]  # whose input gradient to make
     # each stage's pool gradient, then, once the ReLU mask has moved it into
     # the cache, the stage's d_cols
@@ -490,48 +492,24 @@ def _conv_backward(model: Model, grad: np.ndarray, caches: list, start: int,
     if not _halves_pay(n):
         reduce(range(len(stages)))
     else:
-        # the costliest reductions first, each to the less loaded thread
-        cost = [c * k * o * t for c, _, k, o, t, _ in geo]
-        shares, loads = ([], []), [0, 0]
-        for j in sorted(range(len(stages)), key=lambda j: -cost[j]):
-            lighter = loads.index(min(loads))
-            shares[lighter].append(j)
-            loads[lighter] += cost[j]
-        _both(lambda: reduce(shares[0]), lambda: reduce(shares[1]))
+        _both(lambda: reduce(range(0, len(stages), 2)), lambda: reduce(range(1, len(stages), 2)))
     return d_in[0]
-
-
-def run_stage(model: Model, i: int, h: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Stage i on a stack h (..., B, features) of its inputs: (output, cache).
-
-    A conv block views h as (N, in_channels, length) and runs conv -> ReLU ->
-    max pool; its output is flattened back to (..., B, features).  A dense
-    layer is followed by a ReLU, except the output layer, whose output is the
-    logit.  The cache holds the stage input, then the pre-activation, then,
-    for a conv block, the im2col matrix and the pool offsets.
-    """
-    layer = model.layer_list[i]
-    if model.pool(i) is None:
-        pre = L.dense_forward_batch(h, layer)
-        out = L.relu_forward(pre) if i < len(model.layer_list) - 1 else pre
-        return out, (h, pre)
-    caches: list = []
-    out = _conv_forward(model, h, i, i + 1, caches)
-    return out, caches[0]
 
 
 def run_stages(model: Model, h: np.ndarray, start: int = 0, stop: int | None = None,
                caches: list | None = None) -> np.ndarray:
-    """Output of stages start..stop-1 (to the end by default), which is the
-    input of stage stop, from h, the input of stage start.
+    """Output of stages start..stop-1 (to the end by default), the input of
+    stage stop, from h, a stack (..., B, features) of stage start's inputs.
 
-    Stage 0's input is a (B, input_length) batch of raw windows, which are
-    standardized before stage 0 runs.  With a list caches, appends each
-    stage's cache to it.  Without, conv stages run in chunks of CONV_CHUNK
-    windows (never 1, so OpenBLAS gives one pass's bytes), dense stages
-    unchunked.  Conv stages run on two window halves at once (see
-    _conv_forward); dense stages, whose matmul bytes depend on the batch,
-    run on the whole batch.
+    Stage 0 takes a (B, input_length) batch of raw windows and standardizes
+    them.  A conv block runs conv -> ReLU -> max pool; a dense layer is
+    followed by a ReLU unless it is the output layer, whose output is the
+    logit.  With a list caches, appends each stage's cache: its input, its
+    pre-activation and, for a conv block, the im2col matrix and the pool
+    offsets.  Without, conv stages run in chunks of CONV_CHUNK windows (never
+    1, so OpenBLAS gives one pass's bytes).  Conv stages run on two window
+    halves at once (see _conv_forward); dense stages, whose matmul bytes
+    depend on the batch, run on the whole batch.
     """
     stop = len(model.layer_list) if stop is None else stop
     if start == 0 < stop:
@@ -549,10 +527,11 @@ def run_stages(model: Model, h: np.ndarray, start: int = 0, stop: int | None = N
     if dense > start:
         h = _conv_forward(model, h, start, dense, caches)
     for i in range(dense, stop):
-        h, cache = run_stage(model, i, h)
+        pre = L.dense_forward_batch(h, model.layer_list[i])
         if caches is not None:
-            caches.append(cache)
-        del cache  # else it would live on while the next stage runs
+            caches.append((h, pre))
+        h = L.relu_forward(pre) if i < len(model.layer_list) - 1 else pre
+        del pre  # else it would live on while the next stage runs
     return h
 
 
@@ -576,8 +555,8 @@ def forward(model: Model, window: np.ndarray) -> float:
     return float(forward_batch(model, np.asarray(window)[None, :])[0])
 
 
-def backward_batch(model: Model, caches: list, probs: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mean-BCE gradient, one vector laid out like model.params.
+def backward_batch(model: Model, caches: list, probs: np.ndarray, y: np.ndarray) -> Model:
+    """Mean-BCE gradient, a Model over one vector laid out like model.params.
 
     Backpropagation stops at the stage k the caches' forward pass started
     from: the stages below it get zeros, and stage k skips its input
@@ -598,17 +577,17 @@ def backward_batch(model: Model, caches: list, probs: np.ndarray, y: np.ndarray)
         grad = L.dense_backward_batch(grad, h, model.layer_list[i], i > start, d_w=d_w, d_b=d_b)[2]
     if dense > start:
         _conv_backward(model, grad, caches[: dense - start], start, False, grads)
-    return grads.params
+    return grads
 
 
 def batch_loss_and_grads(model: Model, x: np.ndarray, y: np.ndarray, start: int = 0):
     """(loss, grads, probs, vector) of one step on x, the input of stage start:
-    vector is backward_batch's, grads its (d_weights, d_bias) views, None below start."""
+    vector is backward_batch's Model's params, grads its layers' views, None below start."""
     probs, caches = forward_batch(model, x, want_cache=True, start=start)
     loss = L.bce_loss(probs, y)
-    vector = backward_batch(model, caches, probs, y)
-    grads = [(l.weights, l.bias) for l in Model(model.spec, vector).layer_list]
-    return loss, [None] * start + grads[start:], probs, vector
+    grads = backward_batch(model, caches, probs, y)
+    views = [(l.weights, l.bias) for l in grads.layer_list[start:]]
+    return loss, [None] * start + views, probs, grads.params
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +659,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointCorruptError(f"{path}: malformed spec in metadata: {exc}") from exc
     if fingerprint(spec) != fp:
         raise FingerprintMismatchError(f"{path}: metadata spec does not match fingerprint")
-    needed = sum(math.prod(shape) + shape[0] for _, shape in _layer_shapes(spec))
+    needed = _parameter_count(_layer_shapes(spec))
     if needed != count:
         raise CheckpointCorruptError(f"{path}: spec needs {needed} parameters, file has {count}")
     return ckpt

@@ -231,6 +231,19 @@ class TestTrainEvalPipeline:
         assert "error: train_fraction" in err and "Traceback" not in err
         assert not (tmp_path / "x.ckpt").exists()
 
+    @pytest.mark.parametrize("command", ["gen", "train", "gradcheck"])
+    def test_file_that_is_not_utf8_is_config_error(self, dataset_file, tmp_path, capsys, command):
+        path = tmp_path / "s.json"
+        path.write_bytes(b"\xff\xfe{")
+        argv = {"gen": ["gen", "--config", path, "--out", tmp_path / "x.dataset"],
+                "train": ["train", "--data", dataset_file, "--model", path,
+                          "--out", tmp_path / "m.ckpt", "--epochs", 1],
+                "gradcheck": ["gradcheck", "--model", path]}[command]
+        assert run_cli(*argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "utf-8" in err[0]
+        assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
+
     def test_bad_spec_file_is_config_error(self, dataset_file, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"kind": "transformer"}))
@@ -259,7 +272,10 @@ class TestTrainEvalPipeline:
         {"kind": "mlp", "hidden_dims": [10**12, 1, 1]},
         {"kind": "cnn", "blocks": [[8, 7, 2, 2], [16, 5, 2, 2], [32, 5, 2, 2], [32, 3, 2, 2]],
          "hidden_dim": 64, "input_length": 10**14},
-    ], ids=["zero_input_length", "negative_input_length", "huge_mlp", "huge_cnn"])
+        {"kind": "cnn", "blocks": [[8, 7, 2, 2], [16, 5, 2, 2], [32, 5, 2, 2], [32, 3, 2, 2]],
+         "hidden_dim": 1e400},  # json.loads reads it as inf, which int() cannot convert
+    ], ids=["zero_input_length", "negative_input_length", "huge_mlp", "huge_cnn",
+            "infinite_hidden_dim"])
     @pytest.mark.parametrize("command", ["train", "gradcheck"])
     def test_degenerate_or_huge_spec_is_config_error(self, dataset_file, tmp_path, capsys,
                                                      command, spec):
@@ -604,6 +620,28 @@ class TestOutputPaths:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "same file" in err[0]
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--profile", "case2", "--out", ""],
+        ["gen", "--profile", "case2", "--out", "."],
+        ["gen", "--profile", "case2", "--out", "/"],
+        ["train", "--data", "d.dataset", "--out", "/"],
+        ["train", "--data", "d.dataset", "--out", "m.ckpt", "--curves", "/"],
+        ["eval", "--ckpt", "m.ckpt", "--data", "d.dataset", "--out", "/"],
+    ], ids=["gen_out_empty", "gen_out_dot", "gen_out_root", "train_out_root",
+            "train_curves_root", "eval_out_root"])
+    def test_output_that_names_no_file_exits_2_before_any_work(self, tmp_path, monkeypatch,
+                                                                capsys, argv):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the command ran before its paths were checked")
+
+        monkeypatch.chdir(tmp_path)
+        for name in ("build_dataset", "read_dataset"):
+            monkeypatch.setattr(cli, name, forbidden)
+        assert run_cli(*argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "names no file" in err[0]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestUsageErrors:

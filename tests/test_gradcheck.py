@@ -56,7 +56,7 @@ def one_probe_numeric_gradients(model, x, y, epsilon=FD_EPSILON):
     """Oracle: perturb one parameter at a time and replay layers stage..end.
 
     It restates the network's layers itself instead of calling
-    models.run_stage or run_stages, which the code under test uses.
+    models.run_stages, which the code under test uses.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     probe = model.copy()
@@ -154,7 +154,6 @@ class TestColumnProbes:
             raise AssertionError("the oracle must not share the code under test")
 
         for module in (M, G):
-            monkeypatch.setattr(module, "run_stage", forbidden)
             monkeypatch.setattr(module, "run_stages", forbidden)
         for spec in (TINY_CNN, TINY_MLP):
             model = build_model(spec, 0)

@@ -26,7 +26,6 @@ from hifbench.models import (
     forward_batch,
     load_checkpoint,
     restore_for_transfer,
-    run_stage,
     run_stages,
     save_checkpoint,
     spec_from_dict,
@@ -134,7 +133,7 @@ class TestBuildAndForward:
         assert clone.params is flat
         assert clone.flat_parameters().tobytes() == flat.tobytes()
         for wrong_size in (flat[:-1], np.append(flat, 0.0)):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="spec needs"):
                 Model(TINY_CNN, wrong_size)
 
     def test_copy_is_exact_and_independent(self):
@@ -294,19 +293,20 @@ class TestChannelsLastLayout:
     def test_conv_stages_are_bytes_equal_to_contiguous_oracle(self, spec, batch):
         model = build_model(spec, 3)
         rng = np.random.default_rng(batch)
-        h = standardize(rng.normal(size=(batch, spec.input_length)))
-        x = h[:, None, :]  # the oracle's (B, C, L) activation
+        h = rng.normal(size=(batch, spec.input_length))  # stage 0 standardizes its raw windows
+        x = standardize(h)[:, None, :]  # the oracle's (B, C, L) activation
         for i, blk in enumerate(spec.blocks):
             layer = model.layer_list[i]
             t_major = i + 1 < len(spec.blocks)  # C-major into the dense head only
-            out, cache = run_stage(model, i, h)
+            caches = []
+            out = run_stages(model, h, i, i + 1, caches)
             pre, cols = contiguous_conv_forward(x, layer)
             want, argmax = contiguous_maxpool(L.relu_forward(pre), blk.pool_width,
                                               blk.pool_stride)
             assert out.tobytes() == flat(want, t_major).tobytes()
             g = rng.normal(size=want.shape)
             grads = Model(spec, np.empty(model.params.size))
-            d_h = models._conv_backward(model, flat(g, t_major), [cache], i, True, grads)
+            d_h = models._conv_backward(model, flat(g, t_major), caches, i, True, grads)
             d_w, d_b = grads.layer_list[i].weights, grads.layer_list[i].bias
             d_pre = add_at_maxpool_backward(g, argmax, pre.shape[2]) * (pre > 0)
             r_w, r_b, r_x = contiguous_conv_backward(d_pre, cols, layer, x.shape)
@@ -335,9 +335,9 @@ class TestBatchSizeInvariance:
     def test_chunked_forward_equals_one_pass(self, spy, n):
         model = build_model(CNN_SPEC, 2)
         x = np.random.default_rng(n).normal(size=(n, CNN_SPEC.input_length))
-        h = standardize(x)
+        h = x
         for i in range(len(model.layer_list)):
-            h, _ = run_stage(model, i, h)
+            h = run_stages(model, h, i, i + 1, [])  # caches: one unchunked pass
         assert run_stages(model, x).tobytes() == h.tobytes()  # logits: dense rows unchunked
         calls = spy(L, "conv_forward_batch")
         assert forward_batch(model, x).tobytes() == L.sigmoid(h[:, 0]).tobytes()

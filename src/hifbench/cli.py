@@ -77,13 +77,11 @@ def _load_gen_config(args) -> GenConfig:
                  if value is not None}
     if args.profile:
         return dataclasses.replace(profiles.GEN_PROFILES[args.profile], **overrides)
-    if args.config:
-        try:
-            text = Path(args.config).read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise CliError(f"cannot read config: {exc}", EXIT_CONFIG) from exc
-        return GenConfig.from_json(text, overrides)
-    raise CliError("gen needs --profile or --config", EXIT_USAGE)
+    try:
+        text = Path(args.config).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read config: {exc}", EXIT_CONFIG) from exc
+    return GenConfig.from_json(text, overrides)
 
 
 def _model_spec(name: str):
@@ -138,13 +136,15 @@ def _paths(args) -> tuple[list, list]:
 
 
 def _check_paths(outputs: list, inputs: list) -> None:
-    """Exit 2 when an output names no file, or when two outputs, or an output
-    and an input, are one path: one of the two files would be lost."""
+    """Exit 2 when an output names no file or a directory, or when two outputs,
+    or an output and an input, are one path: one of the two files would be lost."""
     claimed: dict = {}  # resolved path -> the output that writes it
     for is_output, named in ((True, outputs), (False, inputs)):
         for name, path in named:
             if is_output and not Path(path).name:  # '', '.', '/': nowhere to write
                 raise CliError(f"{name} {str(path)!r} names no file", EXIT_CONFIG)
+            if is_output and os.path.isdir(path):
+                raise CliError(f"{name} {path} is a directory", EXIT_CONFIG)
             key = os.path.realpath(path) if path else None
             if key in claimed:
                 raise CliError(f"{claimed[key]} and {name} {path} are the same file", EXIT_CONFIG)
@@ -297,8 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("gen", help="generate a labeled dataset file")
-    p.add_argument("--profile", choices=sorted(profiles.GEN_PROFILES))
-    p.add_argument("--config", help="JSON generation config")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--profile", choices=sorted(profiles.GEN_PROFILES))
+    source.add_argument("--config", help="JSON generation config")
     p.add_argument("--seed", type=int)
     p.add_argument("--count", type=int)
     p.add_argument("--out", required=True)

@@ -74,12 +74,9 @@ def _encode(header: bytes, windows: list[Window], window_length: int):
     for start in range(0, len(windows), CHUNK_WINDOWS):
         part = windows[start : start + CHUNK_WINDOWS]
         records = chunk[: len(part)]
-        records["label"] = [int(w.label) for w in part]
-        records["scenario_id"] = [int(w.scenario_id) for w in part]
-        records["seed"] = [w.generation_seed for w in part]
-        samples = records["samples"]
-        for i, w in enumerate(part):
-            samples[i] = w.samples
+        records[["label", "scenario_id", "seed"]] = [
+            (w.label, w.scenario_id, w.generation_seed) for w in part]
+        np.stack([w.samples for w in part], out=records["samples"])
         data = records.view(np.uint8)
         crc = zlib.crc32(data, crc)
         yield data

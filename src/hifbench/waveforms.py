@@ -441,17 +441,15 @@ def _sample_axes(window_length: int, sampling_rate: float) -> tuple[np.ndarray, 
 
 def _synthesize_chunk(scenario: FeederScenario, jobs, out: np.ndarray, labels: list,
                       seeds: list) -> None:
-    """Fill out's rows with the jobs' samples; append their labels and seeds.
-
-    The windows are computed grouped by event (HIF, then each transient kind),
-    so that each event's law runs on a slice of the chunk, and are put back in
-    job order at the end.
-    """
+    """Fill out's rows with the jobs' samples, in job order; append their
+    labels and seeds.  Each event law (HIF, then each transient kind) runs on
+    its windows' rows, picked by one index array; each window draws its arc
+    jitter and then its noise from its own generator."""
     L = scenario.window_length
     two_pi = 2 * math.pi
-    rngs = []
-    groups = [[], [], [], []]  # HIF windows, then one group per TransientKind
-    for j, (loading, frequency, p, seq) in enumerate(jobs):
+    rngs, rows, kinds = [], [], []
+    events = [[], [], [], []]  # HIF windows' fields, then one list per TransientKind
+    for loading, frequency, p, seq in jobs:
         if loading <= 0:
             raise ConfigError("loading must be positive")
         is_hif = isinstance(p, HifParams)
@@ -470,6 +468,7 @@ def _synthesize_chunk(scenario: FeederScenario, jobs, out: np.ndarray, labels: l
                 loading * scenario.base_load_current]
         samples_per_cycle = scenario.sampling_rate / frequency
         row.append(min(int(round(p.inception_angle / two_pi * samples_per_cycle)), L))
+        rows.append(row)
         rngs.append(rng)
         seeds.append(int(seq.generate_state(1, np.uint64)[0]))
         labels.append(Label.HIF if is_hif else Label.NORMAL)
@@ -482,19 +481,13 @@ def _synthesize_chunk(scenario: FeederScenario, jobs, out: np.ndarray, labels: l
                      two_pi * p.oscillation_frequency)
         else:  # dropout lasting `magnitude` cycles, at most to the window's end
             event = (min(max(1, int(round(p.magnitude * samples_per_cycle))), L),)
-        groups[0 if is_hif else 1 + p.kind].append((j, row, event))
+        kinds.append(0 if is_hif else 1 + p.kind)
+        events[kinds[-1]].append(event)
 
-    order, rows, parts = [], [], []
-    for group in groups:
-        # the group's slice of the chunk, and one (len(group), 1) column per event field
-        if not group:
-            parts.append((None, None))
-            continue
-        parts.append((slice(len(order), len(order) + len(group)),
-                      np.array([event for _, _, event in group]).T[:, :, None]))
-        order += [j for j, _, _ in group]
-        rows += [row for _, row, _ in group]
-    hif, step, cap, drop = parts
+    # each event's rows of the chunk, and one (len(rows), 1) column per event field
+    kinds = np.array(kinds)
+    hif, step, cap, drop = [(np.flatnonzero(kinds == k), np.array(e).T[:, :, None]) if e
+                            else (None, None) for k, e in enumerate(events)]
     # one (n, 1) column per per-window scalar: rate, phase0, (amplitude, shift)
     # per harmonic, beta, depth, am_rate, am_phase, load_scale, k0
     w = np.array(rows).T[:, :, None]
@@ -534,7 +527,7 @@ def _synthesize_chunk(scenario: FeederScenario, jobs, out: np.ndarray, labels: l
         n_half = rank[:, -1] + (k0[s, 0] < L)  # none if inception falls past the window
         width = max(1, n_half.max())
         draws = np.zeros((len(n_half), width, 2))
-        for i, j in enumerate(order[s]):
+        for i, j in enumerate(s):
             a = jitter[i, 0]
             draws[i, : n_half[i]] = rngs[j].uniform(-a, a, size=(n_half[i], 2))
         # each sample's (r_p, r_n) is its half cycle's row of the flattened table
@@ -542,28 +535,28 @@ def _synthesize_chunk(scenario: FeederScenario, jobs, out: np.ndarray, labels: l
         r = np.take(r, rank + width * np.arange(len(n_half))[:, None], axis=0)
         fault = hif_current(scenario.peak_voltage * fundamental[s],
                             HifParams(v_p, v_n, r[..., 0], r[..., 1], 0.0))
-        np.add(clean[s], fault, out=clean[s], where=started[s])
+        clean[s] = np.where(started[s], clean[s] + fault, clean[s])
     s, fields = step
     if fields is not None:
-        np.multiply(clean[s], fields[0], out=clean[s], where=started[s])
+        clean[s] = np.where(started[s], clean[s] * fields[0], clean[s])
     s, fields = cap
     if fields is not None:
         amp, tau, osc_rate = fields
         # time since inception; the clip only touches samples before it
         dt = np.maximum(t - t[np.minimum(k0[s], L - 1)], 0.0)
         ring = amp * np.exp(-dt / tau) * np.sin(osc_rate * dt)
-        np.add(clean[s], ring, out=clean[s], where=started[s])
+        clean[s] = np.where(started[s], clean[s] + ring, clean[s])
     s, fields = drop
     if fields is not None:
         dropped = started[s] & (cols < k0[s] + fields[0].astype(np.int64))
-        np.multiply(clean[s], 0.05, out=clean[s], where=dropped)
+        clean[s] = np.where(dropped, clean[s] * 0.05, clean[s])
 
     z = None
     if scenario.noise_level > 0:
         z = np.empty(clean.shape)
-        for i, j in enumerate(order):
-            rngs[j].standard_normal(out=z[i])
-    out[order] = add_noise(clean, scenario.noise_level, z)
+        for rng, row in zip(rngs, z):
+            rng.standard_normal(out=row)
+    out[...] = add_noise(clean, scenario.noise_level, z)
 
 
 def _dataset_jobs(config: GenConfig, master_seed: int, indices):
@@ -600,22 +593,18 @@ def build_dataset(config: GenConfig, master_seed: int | None = None) -> Dataset:
 
 
 def split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Stratified split preserving class balance on both sides."""
+    """Stratified split preserving class balance on both sides: per class, HIF
+    then NORMAL, one permutation of its windows puts round(train_fraction *
+    count) of them on the left.  Each side keeps the dataset's window order."""
     if not (0.0 < train_fraction < 1.0):
         raise ConfigError("train_fraction must lie strictly between 0 and 1")
     rng = _rng([seed, 0xC0FFEE])
-    left_idx: list[int] = []
-    right_idx: list[int] = []
+    labels = np.array([w.label for w in d.windows], dtype=np.int64)
+    left = np.zeros(len(labels), bool)
     for label in (Label.HIF, Label.NORMAL):
-        idx = [i for i, w in enumerate(d.windows) if w.label == label]
-        order = rng.permutation(len(idx))
-        n_left = int(round(train_fraction * len(idx)))
-        for j, pos in enumerate(order):
-            (left_idx if j < n_left else right_idx).append(idx[pos])
-    if not left_idx or not right_idx:
+        idx = np.flatnonzero(labels == label)
+        left[idx[rng.permutation(len(idx))[: int(round(train_fraction * len(idx)))]]] = True
+    if left.all() or not left.any():
         raise ConfigError("train_fraction leaves one side of the split empty")
-    left_idx.sort()
-    right_idx.sort()
-    left = Dataset([d.windows[i] for i in left_idx], d.master_seed, d.scenario, d.generator_version)
-    right = Dataset([d.windows[i] for i in right_idx], d.master_seed, d.scenario, d.generator_version)
-    return left, right
+    return tuple(Dataset([d.windows[i] for i in np.flatnonzero(side)], d.master_seed, d.scenario,
+                         d.generator_version) for side in (left, ~left))

@@ -2,6 +2,7 @@ import json
 import struct
 import warnings
 import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hifbench import cli
 from hifbench.datafile import read_dataset, write_dataset
 from hifbench.models import MlpSpec, build_model, save_checkpoint
 from hifbench.profiles import CNN_SPEC
+from hifbench.waveforms import GenConfig
 
 from test_models import TINY_MLP
 
@@ -19,6 +21,15 @@ SMALL_MLP = MlpSpec(hidden_dims=(8, 8, 4), input_length=300)
 
 def run_cli(*argv) -> int:
     return cli.main([str(a) for a in argv])
+
+
+def forbid_work(monkeypatch) -> None:
+    """Make the CLI fail loudly if it reads or builds a dataset."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the command ran before its paths were checked")
+
+    for name in ("build_dataset", "read_dataset"):
+        monkeypatch.setattr(cli, name, forbidden)
 
 
 @pytest.fixture(scope="module")
@@ -632,16 +643,32 @@ class TestOutputPaths:
             "train_curves_root", "eval_out_root"])
     def test_output_that_names_no_file_exits_2_before_any_work(self, tmp_path, monkeypatch,
                                                                 capsys, argv):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the command ran before its paths were checked")
-
         monkeypatch.chdir(tmp_path)
-        for name in ("build_dataset", "read_dataset"):
-            monkeypatch.setattr(cli, name, forbidden)
+        forbid_work(monkeypatch)
         assert run_cli(*argv) == cli.EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "names no file" in err[0]
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--profile", "case2", "--count", "40", "--out", "d"],
+        ["train", "--data", "c2.dataset", "--model", "mlp", "--epochs", "1", "--out", "d"],
+        ["train", "--data", "c2.dataset", "--model", "mlp", "--epochs", "1", "--out", "x.ckpt",
+         "--curves", "d"],
+        ["eval", "--ckpt", "m.ckpt", "--data", "c2.dataset", "--out", "d"],
+    ], ids=["gen_out", "train_out", "train_curves", "eval_out"])
+    def test_output_that_names_a_directory_exits_2_before_any_work(self, tmp_path, monkeypatch,
+                                                                   capsys, argv):
+        """A directory output used to be found only when the finished artifact
+        was moved onto it, after all the work and, for --curves, after the
+        checkpoint was written."""
+        monkeypatch.chdir(tmp_path)
+        forbid_work(monkeypatch)
+        (tmp_path / "d").mkdir()
+        assert run_cli(*argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "is a directory" in err[0]
+        assert [p.relative_to(tmp_path) for p in tmp_path.rglob("*")] == [Path("d")]
 
 
 class TestUsageErrors:
@@ -650,11 +677,17 @@ class TestUsageErrors:
         ["gradcheck", "--seed", "abc"],
         ["eval", "--ckpt", "a", "--data", "b", "--threshold", "-inf"],  # read as an option
         ["finetune", "--ckpt", "a", "--data", "b", "--out", "c", "--freeze-conv"],  # removed
-    ], ids=["missing_required", "bad_int", "option_like_value", "freeze_conv"])
-    def test_parser_errors_exit_1(self, argv, capsys):
+        ["gen", "--profile", "case2", "--config", "c.json", "--count", "4", "--out", "x"],
+        ["gen", "--count", "4", "--out", "x"],
+    ], ids=["missing_required", "bad_int", "option_like_value", "freeze_conv",
+            "gen_profile_and_config", "gen_no_profile_nor_config"])
+    def test_parser_errors_exit_1(self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text(json.dumps(GenConfig("target", 4, 3).to_dict()))
         assert run_cli(*argv) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert "usage: hifbench" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
     def test_help_exits_0(self, capsys):
         assert run_cli("train", "--help") == cli.EXIT_OK

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -174,16 +175,38 @@ def spike(length=CNN_SPEC.input_length):
 
 
 class TestErrors:
-    def test_overflow_in_the_second_half_raises(self):
+    @pytest.mark.parametrize("row", [1, HALVES - 2], ids=["first", "second"])
+    def test_overflow_in_either_half_raises(self, row):
+        """The first half runs on the calling thread and the second on the
+        worker.  Either half's overflow reaches the caller, and a clean step on
+        the same model then gets the bytes it got before."""
         model = spike_model()
         x = sines(HALVES)
         y = np.tile([1.0, 0.0], HALVES // 2)
-        half = HALVES // 2
         with np.errstate(over="raise"):
-            models.batch_loss_and_grads(model, x[:half], y[:half])  # the first half alone is fine
-            x[-2] = spike()
+            want = models.batch_loss_and_grads(model, x, y)[3].copy()  # the sines are fine
+            spiked = x.copy()
+            spiked[row] = spike()
             with pytest.raises(FloatingPointError, match="overflow"):
-                models.batch_loss_and_grads(model, x, y)
+                models.batch_loss_and_grads(model, spiked, y)
+            assert models.batch_loss_and_grads(model, x, y)[3].tobytes() == want.tobytes()
+
+    def test_a_raising_caller_half_waits_for_the_worker_half(self):
+        """The worker's half may still be writing into the caller's buffers, so
+        the caller's error is raised only once that half has returned."""
+        finished = threading.Event()
+
+        def there():
+            time.sleep(0.2)
+            finished.set()
+
+        def here():
+            raise ZeroDivisionError
+
+        with pytest.raises(ZeroDivisionError):
+            models._both(here, there)
+        assert finished.is_set()
+        assert models._both(lambda: 1, lambda: 2) == (1, 2)
 
     def test_train_diverges_at_the_batch_whose_second_half_overflows(self, spy):
         x = sines(4 * HALVES)  # a fit set of 3 batches of HALVES windows
@@ -256,6 +279,30 @@ class TestWorkerLifetime:
         """)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["ok"]
+
+    def test_a_forked_child_starts_a_worker_of_its_own(self):
+        """A child forked after the worker started has the worker object but
+        not its thread; without a worker of its own its first halves step
+        would wait forever (here, until the alarm ends it)."""
+        done = run_python("""
+            import os, signal
+            import numpy as np
+            from hifbench import models
+            from hifbench.profiles import CNN_SPEC
+            n = 2 * models.HALF_WINDOWS
+            model = models.build_model(CNN_SPEC, 0)
+            x = np.random.default_rng(0).normal(size=(n, CNN_SPEC.input_length))
+            y = np.tile([1.0, 0.0], n // 2)
+            want = models.batch_loss_and_grads(model, x, y)[3].tobytes()
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(60)
+                os._exit(0 if models.batch_loss_and_grads(model, x, y)[3].tobytes() == want
+                         else 1)
+            print("child", os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        """)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["child", "0"]
 
     def test_train_leaves_one_idle_worker_and_the_process_exits(self, tmp_path):
         done = run_python(f"""

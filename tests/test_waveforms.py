@@ -309,6 +309,57 @@ class TestSplit:
         with pytest.raises(ConfigError):
             split(small_dataset, 0.0, 0)
 
+    @pytest.mark.parametrize("count", [4, 41, 300])
+    @pytest.mark.parametrize("fraction", [0.01, 0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_equals_the_list_based_reference(self, count, fraction, seed):
+        """Both sides hold the reference's windows in the reference's order,
+        and both raise on the same splits."""
+        d = _labelled_dataset(count, seed)
+        try:
+            want = _ref_split(d, fraction, seed)
+        except ConfigError:
+            with pytest.raises(ConfigError, match="leaves one side of the split empty"):
+                split(d, fraction, seed)
+            return
+        got = split(d, fraction, seed)
+        for side, want_side in zip(got, want):
+            assert [id(w) for w in side.windows] == [id(w) for w in want_side]
+            assert (side.master_seed, side.scenario) == (d.master_seed, d.scenario)
+
+    def test_empty_side_raises(self):
+        """4 windows at 0.01 put none on the left; the reference agrees."""
+        d = _labelled_dataset(4, 1)
+        with pytest.raises(ConfigError, match="leaves one side of the split empty"):
+            _ref_split(d, 0.01, 3)
+        with pytest.raises(ConfigError, match="leaves one side of the split empty"):
+            split(d, 0.01, 3)
+        with pytest.raises(ConfigError, match="leaves one side of the split empty"):
+            split(Dataset([], 0, SOURCE), 0.5, 3)
+
+
+def _labelled_dataset(count, seed):
+    """count windows of one-sample rows, labelled in a shuffled, unbalanced order."""
+    rng = np.random.default_rng(seed % 1000)
+    labels = rng.random(count) < 0.4
+    return Dataset([Window(np.array([float(i)]), Label(int(hif)), SystemId.SOURCE, i)
+                    for i, hif in enumerate(labels)], seed, SOURCE)
+
+
+def _ref_split(d, train_fraction, seed):
+    """The list-based split that the mask-based one replaced: windows per side."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0xC0FFEE])))
+    left_idx, right_idx = [], []
+    for label in (Label.HIF, Label.NORMAL):
+        idx = [i for i, w in enumerate(d.windows) if w.label == label]
+        order = rng.permutation(len(idx))
+        n_left = int(round(train_fraction * len(idx)))
+        for j, pos in enumerate(order):
+            (left_idx if j < n_left else right_idx).append(idx[pos])
+    if not left_idx or not right_idx:
+        raise ConfigError("train_fraction leaves one side of the split empty")
+    return [d.windows[i] for i in sorted(left_idx)], [d.windows[i] for i in sorted(right_idx)]
+
 
 # ---------------------------------------------------------------------------
 # The chunked synthesizer against a per-window reference.  The reference is the

@@ -135,9 +135,11 @@ def _paths(args) -> tuple[list, list]:
     return outputs, inputs
 
 
-def _check_paths(outputs: list, inputs: list) -> None:
-    """Exit 2 when an output names no file or a directory, or when two outputs,
-    or an output and an input, are one path: one of the two files would be lost."""
+def _check_paths(outputs: list, inputs: list, made: Path | None = None) -> None:
+    """Exit 2 when an output names no file or a directory, or its directory is
+    missing or not a directory (made, which the command makes first, may be
+    new), or when two outputs, or an output and an input, are one path: one of
+    the two files would be lost."""
     claimed: dict = {}  # resolved path -> the output that writes it
     for is_output, named in ((True, outputs), (False, inputs)):
         for name, path in named:
@@ -145,6 +147,9 @@ def _check_paths(outputs: list, inputs: list) -> None:
                 raise CliError(f"{name} {str(path)!r} names no file", EXIT_CONFIG)
             if is_output and os.path.isdir(path):
                 raise CliError(f"{name} {path} is a directory", EXIT_CONFIG)
+            if is_output and Path(path).parent != made and not Path(path).parent.is_dir():
+                raise CliError(f"{name} {path}: {Path(path).parent} is not a directory",
+                               EXIT_CONFIG)
             key = os.path.realpath(path) if path else None
             if key in claimed:
                 raise CliError(f"{claimed[key]} and {name} {path} are the same file", EXIT_CONFIG)
@@ -283,11 +288,25 @@ def cmd_replicate(args) -> int:
     subs = [build_parser().parse_args([str(a) for a in argv]) for argv in steps]
     for sub in subs:  # before any step runs: no step may write over the source checkpoint
         outputs, inputs = _paths(sub)
-        _check_paths(outputs, [*inputs, ("--source-ckpt", args.source_ckpt)])
+        _check_paths(outputs, [*inputs, ("--source-ckpt", args.source_ckpt)], made=outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for sub in subs:
         code = sub.func(sub)
     return code
+
+
+def _add_shared_flags(p, train_fraction: float, init_seed: int | None = None) -> None:
+    """The dataset and split flags of train, finetune and eval, and, given the
+    default --init-seed, the output and training flags of the first two."""
+    p.add_argument("--data", required=True)
+    p.add_argument("--train-fraction", type=float, default=train_fraction)
+    p.add_argument("--split-seed", type=int, default=profiles.SPLIT_SEED)
+    if init_seed is not None:
+        p.add_argument("--out", required=True)
+        p.add_argument("--curves")
+        for flag, kind in (("--epochs", int), ("--lr", float), ("--batch", int), ("--seed", int)):
+            p.add_argument(flag, type=kind)
+        p.add_argument("--init-seed", type=int, default=init_seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,43 +325,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="train a model on the train side of a dataset split")
-    p.add_argument("--data", required=True)
     p.add_argument("--model", default="cnn", help="cnn, mlp, or a spec JSON path")
-    p.add_argument("--out", required=True)
-    p.add_argument("--curves")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--init-seed", type=int, default=1, dest="init_seed")
-    p.add_argument("--train-fraction", type=float, default=0.8, dest="train_fraction")
-    p.add_argument("--split-seed", type=int, default=profiles.SPLIT_SEED, dest="split_seed")
+    _add_shared_flags(p, train_fraction=0.8, init_seed=1)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("finetune", help="fine-tune from a checkpoint (or retrain from scratch)")
     p.add_argument("--ckpt", required=True, help="source checkpoint")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--curves")
     p.add_argument("--scratch", action="store_true",
                    help="ignore checkpoint weights, random initialization")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--init-seed", type=int, default=2, dest="init_seed")
-    p.add_argument("--train-fraction", type=float, default=0.5, dest="train_fraction")
-    p.add_argument("--split-seed", type=int, default=profiles.SPLIT_SEED, dest="split_seed")
+    _add_shared_flags(p, train_fraction=0.5, init_seed=2)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("eval", help="evaluate checkpoints on a dataset (or its holdout split)")
     p.add_argument("--ckpt", nargs="+", required=True)
-    p.add_argument("--data", required=True)
     p.add_argument("--holdout", action="store_true", help="evaluate the test side of the split")
-    p.add_argument("--train-fraction", type=float, default=0.8, dest="train_fraction")
-    p.add_argument("--split-seed", type=int, default=profiles.SPLIT_SEED, dest="split_seed")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--out")
+    _add_shared_flags(p, train_fraction=0.8)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all analytic gradients")

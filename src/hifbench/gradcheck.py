@@ -48,12 +48,11 @@ def kink_margin(model: Model, x: np.ndarray) -> float:
     """
     _, caches = forward_batch(model, np.atleast_2d(x), want_cache=True)
     margin = np.inf
-    for i, (_, pre, *_) in enumerate(caches[:-1]):  # the output layer has no ReLU
+    for (_, pre, *_), stage in zip(caches[:-1], model.stages):  # the output layer has no ReLU
         margin = min(margin, float(np.abs(pre).min()))
-        pool = model.pool(i)
-        if pool is None or pool[0] == 1:  # a width-1 pool passes every unit on
+        if stage.pool is None or stage.pool[0] == 1:  # a width-1 pool passes every unit on
             continue
-        width, stride = pool
+        width, stride = stage.pool
         windows = sliding_window_view(L.relu_forward(pre), width, axis=2)[:, :, ::stride, :]
         top2 = np.sort(windows, axis=3)[..., -2:]
         live = top2[..., 1] > 0  # ties among dead units stay at zero either way

@@ -4,7 +4,9 @@ architecture fingerprint (the transfer-learning handoff unit).
 
 A network is a list of stages, one per entry of layer_list: a conv block
 (conv -> ReLU -> max pool) or a dense layer (with a ReLU unless it is the
-output layer).  _conv_forward and _conv_backward run a chain of conv blocks.
+output layer).  Every pass reads the spec's stage table (_stages, cached per
+spec): each stage's layer class, weight shape and, for a conv block, pool and
+geometry.  _conv_forward and _conv_backward run a chain of conv blocks.
 run_stages runs any range of stages, from its first stage's input, and
 backward_batch back to the stage its forward pass started from; training,
 its frozen-feature store and the gradient checks all go through them.
@@ -40,6 +42,7 @@ import threading
 import zlib
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,10 +123,6 @@ class CnnSpec:
             lengths.append(length)
         return lengths
 
-    @property
-    def flat_dim(self) -> int:
-        return self.blocks[-1].out_channels * self.feature_lengths()[-1]
-
     def to_dict(self) -> dict:
         return {
             "kind": "cnn",
@@ -189,41 +188,68 @@ def fingerprint(spec) -> bytes:
     return hashlib.sha256(json.dumps(spec.to_dict(), sort_keys=True).encode()).digest()
 
 
+class Stage(NamedTuple):
+    """One row of a spec's stage table: the layer class and weight shape and,
+    for a conv block, its pool (width, stride) and its geometry (C, L, K, O,
+    T, pooled length), None for a dense stage."""
+    layer: type
+    shape: tuple[int, ...]
+    pool: tuple[int, int] | None = None
+    geo: tuple[int, int, int, int, int, int] | None = None
+
+
+@functools.lru_cache(maxsize=64)
+def _stages(spec) -> tuple[Stage, ...]:
+    """The stage table of a spec, in layer_list order, derived once per spec."""
+    if isinstance(spec, CnnSpec):
+        lengths = spec.feature_lengths()  # the input's, then after each conv and each pool
+        table, c = [], 1
+        for i, (o, k, *pool) in enumerate(map(astuple, spec.blocks)):
+            table.append(Stage(L.ConvLayer, (o, c, k), tuple(pool),
+                               (c, lengths[2 * i], k, o, *lengths[2 * i + 1 : 2 * i + 3])))
+            c = o
+        dense_dims = [(c * lengths[-1], spec.hidden_dim), (spec.hidden_dim, spec.output_dim)]
+    elif isinstance(spec, MlpSpec):
+        table, dense_dims = [], spec.layer_dims
+    else:
+        raise SpecError(f"unknown spec type: {type(spec).__name__}")
+    return (*table, *(Stage(L.DenseLayer, (out_dim, in_dim)) for in_dim, out_dim in dense_dims))
+
+
+def _parameter_count(spec) -> int:
+    """Entries of a parameter vector for spec: every stage's weights and biases."""
+    return sum(math.prod(s.shape) + s.shape[0] for s in _stages(spec))
+
+
 class Model:
     """A spec and one C-contiguous float64 vector params, of which each layer's
     weights and bias are views, in layer_list order: stage i owns
-    params[offsets[i] : offsets[i + 1]], its weights and then its biases."""
+    params[offsets[i] : offsets[i + 1]], its weights and then its biases.
+    stages is the spec's stage table; the n_conv conv stages lead it."""
 
     def __init__(self, spec: "CnnSpec | MlpSpec", params: np.ndarray):
-        shapes = _layer_shapes(spec)
-        needed = _parameter_count(shapes)
+        needed = _parameter_count(spec)
         if params.size != needed:
             raise ValueError(f"parameter vector has {params.size} entries, spec needs {needed}")
-        self.spec, self.params, self.layer_list, self.offsets = spec, params, [], [0]
-        for cls, shape in shapes:
+        self.spec, self.params, self.stages = spec, params, _stages(spec)
+        self.n_conv = sum(s.pool is not None for s in self.stages)
+        self.layer_list, self.offsets = [], [0]
+        for cls, shape, *_ in self.stages:
             lo, hi = self.offsets[-1], self.offsets[-1] + math.prod(shape)
             self.layer_list.append(cls(params[lo:hi].reshape(shape), params[hi : hi + shape[0]]))
             self.offsets.append(hi + shape[0])
 
     def pool(self, i: int) -> tuple[int, int] | None:
         """(width, stride) of stage i's max pool; None for a dense stage or past the last."""
-        if i >= len(self.layer_list) or not isinstance(self.layer_list[i], L.ConvLayer):
-            return None
-        blk = self.spec.blocks[i]
-        return blk.pool_width, blk.pool_stride
+        return self.stages[i].pool if i < len(self.stages) else None
 
     def channels(self, i: int, out: np.ndarray) -> np.ndarray:
         """(..., B, O, T) view of stage i's output (..., B, features): each of
         its O output units over T positions (T = 1 for a dense stage)."""
-        n_out = self.layer_list[i].bias.size
+        n_out = self.stages[i].shape[0]
         if self.pool(i + 1) is None:  # C-major
             return out.reshape(*out.shape[:-1], n_out, -1)
         return out.reshape(*out.shape[:-1], -1, n_out).swapaxes(-1, -2)
-
-    @property
-    def n_conv(self) -> int:
-        """Number of conv stages, which lead layer_list."""
-        return sum(isinstance(l, L.ConvLayer) for l in self.layer_list)
 
     def parameter_count(self) -> int:
         return self.params.size
@@ -235,32 +261,10 @@ class Model:
         return Model(self.spec, self.params.copy())
 
 
-def _layer_shapes(spec) -> list[tuple[type, tuple[int, ...]]]:
-    """(layer class, weight shape) of each layer, in layer_list order."""
-    shapes: list = []
-    if isinstance(spec, CnnSpec):
-        in_channels = 1
-        for blk in spec.blocks:
-            shapes.append((L.ConvLayer, (blk.out_channels, in_channels, blk.kernel_size)))
-            in_channels = blk.out_channels
-        dense_dims = [(spec.flat_dim, spec.hidden_dim), (spec.hidden_dim, spec.output_dim)]
-    elif isinstance(spec, MlpSpec):
-        dense_dims = spec.layer_dims
-    else:
-        raise SpecError(f"unknown spec type: {type(spec).__name__}")
-    shapes += [(L.DenseLayer, (out_dim, in_dim)) for in_dim, out_dim in dense_dims]
-    return shapes
-
-
-def _parameter_count(shapes: list) -> int:
-    """Entries of a parameter vector over _layer_shapes(spec): weights and biases."""
-    return sum(math.prod(shape) + shape[0] for _, shape in shapes)
-
-
 def build_model(spec, init_seed: int) -> Model:
     """He-initialized weights, zero biases; deterministic in init_seed."""
     rng = np.random.default_rng(np.random.SeedSequence([init_seed, 0x1417]))
-    count = _parameter_count(_layer_shapes(spec))
+    count = _parameter_count(spec)
     try:
         model = Model(spec, np.zeros(count))
         for w in (layer.weights for layer in model.layer_list):
@@ -362,16 +366,6 @@ def _rows(buf: np.ndarray, lo: int, hi: int, *shape: int) -> np.ndarray:
         hi - lo, *shape)
 
 
-def _conv_geometry(model: Model, stages: range) -> list[tuple[int, ...]]:
-    """(C, L, K, O, T, pooled length) of each conv stage."""
-    lengths = model.spec.feature_lengths()  # the input's, then after each conv and each pool
-    geo = []
-    for i in stages:
-        o, c, k = model.layer_list[i].weights.shape
-        geo.append((c, lengths[2 * i], k, o, lengths[2 * i + 1], lengths[2 * i + 2]))
-    return geo
-
-
 def _own(n: int, sizes: list[int], dtype=np.float64) -> list[np.ndarray]:
     """One (n, size) buffer per stage."""
     return [np.empty((n, size), dtype) for size in sizes]
@@ -402,7 +396,7 @@ def _conv_forward(model: Model, h: np.ndarray, start: int, stop: int,
     """
     n = math.prod(h.shape[:-1])
     stages = range(start, stop)
-    geo = _conv_geometry(model, stages)
+    geo = [model.stages[i].geo for i in stages]
     col_sizes = [t * c * k for c, _, k, _, t, _ in geo]
     pre_sizes = [t * o for *_, o, t, _ in geo]
     out_sizes = [o * tp for *_, o, _, tp in geo]
@@ -413,7 +407,7 @@ def _conv_forward(model: Model, h: np.ndarray, start: int, stop: int,
     else:
         cols, pre = _shared(n, col_sizes), _shared(n, pre_sizes)
         act, outs = pre, _shared(n, out_sizes[:-1], 2) + _own(n, out_sizes[-1:])
-    offsets = [np.empty((n, size), np.min_scalar_type(model.pool(i)[0] - 1))
+    offsets = [np.empty((n, size), np.min_scalar_type(model.stages[i].pool[0] - 1))
                for i, size in zip(stages, out_sizes)]
     x = h.reshape(n, -1)
 
@@ -427,7 +421,7 @@ def _conv_forward(model: Model, h: np.ndarray, start: int, stop: int,
             relu = L.relu_forward(conv, _rows(act[j], lo, hi, t, o).transpose(0, 2, 1))
             c_major = model.pool(i + 1) is None  # into the dense head
             out = _rows(outs[j], lo, hi, *((o, tp) if c_major else (tp, o)))
-            L.maxpool_forward_batch(relu, *model.pool(i),
+            L.maxpool_forward_batch(relu, *model.stages[i].pool,
                                     out=out if c_major else out.transpose(0, 2, 1),
                                     offset=_rows(offsets[j], lo, hi, tp, o).transpose(0, 2, 1))
             y = out.reshape(m, -1)
@@ -458,7 +452,7 @@ def _conv_backward(model: Model, grad: np.ndarray, caches: list, start: int,
     """
     n = len(grad)
     stages = range(start, start + len(caches))
-    geo = _conv_geometry(model, stages)
+    geo = [model.stages[i].geo for i in stages]
     wants = [i > start or input_grad for i in stages]  # whose input gradient to make
     # each stage's pool gradient, then, once the ReLU mask has moved it into
     # the cache, the stage's d_cols
@@ -471,7 +465,7 @@ def _conv_backward(model: Model, grad: np.ndarray, caches: list, start: int,
             i, (c, length, k, o, t, tp) = stages[j], geo[j]
             _, pre, _, offset = caches[j]
             d_pre = L.maxpool_backward_batch(
-                model.channels(i, g), offset[lo:hi], t, *model.pool(i),
+                model.channels(i, g), offset[lo:hi], t, *model.stages[i].pool,
                 out=_rows(work, lo, hi, t, o).transpose(0, 2, 1))
             d_pre = L.relu_backward(d_pre, pre[lo:hi], pre[lo:hi])
             if not wants[j]:
@@ -659,7 +653,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointCorruptError(f"{path}: malformed spec in metadata: {exc}") from exc
     if fingerprint(spec) != fp:
         raise FingerprintMismatchError(f"{path}: metadata spec does not match fingerprint")
-    needed = _parameter_count(_layer_shapes(spec))
+    needed = _parameter_count(spec)
     if needed != count:
         raise CheckpointCorruptError(f"{path}: spec needs {needed} parameters, file has {count}")
     return ckpt

@@ -589,7 +589,7 @@ class TestFileErrors:
     def test_gen_into_missing_directory(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.dataset"
         assert run_cli("gen", "--profile", "case2", "--count", 4,
-                       "--out", out) == cli.EXIT_DATA
+                       "--out", out) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert str(out) in err and ".tmp" not in err
         assert not (tmp_path / "missing").exists()
@@ -670,6 +670,49 @@ class TestOutputPaths:
         assert len(err) == 1 and err[0].startswith("error: ") and "is a directory" in err[0]
         assert [p.relative_to(tmp_path) for p in tmp_path.rglob("*")] == [Path("d")]
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--profile", "case2", "--count", "40", "--out", "nodir/x.dataset"],
+        ["train", "--data", "c2.dataset", "--model", "mlp", "--epochs", "1",
+         "--out", "nodir/x.ckpt"],
+        ["train", "--data", "c2.dataset", "--model", "mlp", "--epochs", "1", "--out", "x.ckpt",
+         "--curves", "nodir/c.csv"],
+        ["eval", "--ckpt", "m.ckpt", "--data", "c2.dataset", "--out", "nodir/r.csv"],
+        ["train", "--data", "c2.dataset", "--model", "mlp", "--epochs", "1", "--out", "x.ckpt",
+         "--curves", "f/c.csv"],
+    ], ids=["gen_out", "train_out", "train_curves", "eval_out", "train_curves_under_a_file"])
+    def test_output_in_no_directory_exits_2_before_any_work(self, tmp_path, monkeypatch,
+                                                             capsys, argv):
+        """An output whose directory is missing, or is a file, used to be found
+        only when it was written, after all the work and, for --curves, after
+        the checkpoint was written."""
+        monkeypatch.chdir(tmp_path)
+        forbid_work(monkeypatch)
+        (tmp_path / "f").write_text("")
+        assert run_cli(*argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "is not a directory" in err[0]
+        assert [p.relative_to(tmp_path) for p in tmp_path.rglob("*")] == [Path("f")]
+
+    @pytest.mark.parametrize("case", ["case1", "case2"])
+    def test_replicate_makes_its_new_outdir(self, tmp_path, monkeypatch, case):
+        """replicate checks its steps' outputs before it makes --outdir, so
+        their directory may not exist yet."""
+        monkeypatch.chdir(tmp_path)
+        steps = []
+
+        def step(args):
+            assert Path(args.out).parent.is_dir()
+            steps.append((args.cmd, Path(args.out)))
+            return cli.EXIT_OK
+
+        for name in ("cmd_gen", "cmd_train", "cmd_finetune", "cmd_eval"):
+            monkeypatch.setattr(cli, name, step)
+        source = ["--source-ckpt", "c1.ckpt"] if case == "case2" else []
+        assert run_cli("replicate", case, "--outdir", "fresh/new/", *source) == cli.EXIT_OK
+        assert [cmd for cmd, _ in steps] == (["gen", "train", "train", "eval"] if case == "case1"
+                                             else ["gen", "finetune", "finetune", "eval"])
+        assert {out.parent for _, out in steps} == {Path("fresh/new")}
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
@@ -688,6 +731,22 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "usage: hifbench" in err and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    @pytest.mark.parametrize("argv, want", [
+        (["train", "--data", "d", "--out", "o"], {"train_fraction": 0.8, "init_seed": 1}),
+        (["finetune", "--ckpt", "c", "--data", "d", "--out", "o"],
+         {"train_fraction": 0.5, "init_seed": 2}),
+        (["eval", "--ckpt", "c", "--data", "d"], {"train_fraction": 0.8}),
+    ], ids=["train", "finetune", "eval"])
+    def test_shared_flags_keep_each_commands_defaults(self, argv, want):
+        args = cli.build_parser().parse_args(argv)
+        assert args.split_seed == cli.profiles.SPLIT_SEED and args.data == "d"
+        assert {key: getattr(args, key) for key in want} == want
+        training = ("out", "curves", "epochs", "lr", "batch", "seed")
+        if "init_seed" in want:
+            assert [getattr(args, key) for key in training] == ["o"] + [None] * 5
+        else:
+            assert not any(hasattr(args, key) for key in ("curves", "epochs", "init_seed"))
 
     def test_help_exits_0(self, capsys):
         assert run_cli("train", "--help") == cli.EXIT_OK

@@ -1,9 +1,13 @@
 import dataclasses
+import itertools
+import math
 import struct
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from hifbench import layers as L
@@ -48,7 +52,7 @@ class TestSpecs:
     def test_default_cnn_shape_chain(self):
         spec = CnnSpec()
         assert spec.feature_lengths() == [300, 294, 147, 143, 71, 67, 33, 31, 15]
-        assert spec.flat_dim == 32 * 15
+        assert models._stages(spec)[4].shape == (64, 32 * 15)  # the first dense layer
 
     def test_default_parameter_counts(self):
         cnn = build_model(CnnSpec(), 0)
@@ -79,6 +83,67 @@ class TestSpecs:
         assert fingerprint(CnnSpec()) != fingerprint(TINY_CNN)
         assert len(fingerprint(CnnSpec())) == 32
         assert fingerprint(CnnSpec()) == fingerprint(CnnSpec())
+
+
+def _cnn_or_none(blocks, hidden_dim, input_length):
+    try:
+        return CnnSpec(blocks=tuple(ConvBlockSpec(*b) for b in blocks), hidden_dim=hidden_dim,
+                       input_length=input_length)
+    except SpecError:  # the shape algebra collapsed
+        return None
+
+
+_small = st.integers(1, 4)
+random_specs = st.one_of(
+    st.builds(_cnn_or_none, st.lists(st.tuples(_small, st.integers(1, 6), _small,
+                                               st.integers(1, 3)), min_size=4, max_size=4),
+              st.integers(1, 6), st.integers(20, 200)),
+    st.builds(MlpSpec, st.tuples(_small, _small, _small), st.integers(1, 40)),
+)
+
+
+class TestStageTable:
+    """models._stages: one table per spec, which Model and every pass read."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=random_specs)
+    def test_table_agrees_with_the_spec_and_the_built_model(self, spec):
+        assume(spec is not None)
+        table = models._stages(spec)
+        assert models._stages(spec) is table  # derived once per spec
+        model = build_model(spec, 0)
+        assert model.stages is table
+        blocks = spec.blocks if isinstance(spec, CnnSpec) else ()
+        assert model.n_conv == len(blocks)
+        lengths = spec.feature_lengths() if blocks else []
+        in_channels = 1
+        for i, blk in enumerate(blocks):
+            o, k = blk.out_channels, blk.kernel_size
+            geometry = (in_channels, lengths[2 * i], k, o, lengths[2 * i + 1], lengths[2 * i + 2])
+            assert table[i] == (L.ConvLayer, (o, in_channels, k),
+                                (blk.pool_width, blk.pool_stride), geometry)
+            assert model.pool(i) == table[i].pool
+            in_channels = o
+        dense = table[len(blocks):]
+        if blocks:
+            assert dense[0].shape == (spec.hidden_dim, in_channels * lengths[-1])
+        else:
+            assert [s.shape[::-1] for s in dense] == spec.layer_dims
+        for i, stage in enumerate(dense, len(blocks)):
+            assert stage.layer is L.DenseLayer and stage.pool is stage.geo is None
+            assert model.pool(i) is None
+        assert model.pool(len(table)) is None and model.pool(len(table) + 1) is None
+        assert dense[-1].shape[0] == 1  # the sigmoid unit
+        sizes = [math.prod(s.shape) + s.shape[0] for s in table]
+        assert model.offsets == [0, *itertools.accumulate(sizes)]
+        assert model.parameter_count() == sum(sizes)
+        for stage, layer in zip(table, model.layer_list):
+            assert type(layer) is stage.layer and layer.weights.shape == stage.shape
+            assert layer.bias.shape == stage.shape[:1]
+        assert models._stages(spec_from_dict(spec.to_dict())) == table
+        with pytest.raises(ValueError, match=f"^parameter vector has {sum(sizes) - 1} entries, "
+                                             f"spec needs {sum(sizes)}$"):
+            Model(spec, model.params[:-1])
 
 
 class TestBuildAndForward:

@@ -286,9 +286,12 @@ def cmd_replicate(args) -> int:
                   data, "--holdout", *split, "--threshold", 0.5,
                   "--out", outdir / "case2_report.csv"]]
     subs = [build_parser().parse_args([str(a) for a in argv]) for argv in steps]
+    # outdir may be new if mkdir can make it: its nearest existing ancestor is a directory
+    ancestor = next((p for p in (outdir, *outdir.parents) if os.path.lexists(p)), outdir)
+    made = outdir if ancestor.is_dir() else None
     for sub in subs:  # before any step runs: no step may write over the source checkpoint
         outputs, inputs = _paths(sub)
-        _check_paths(outputs, [*inputs, ("--source-ckpt", args.source_ckpt)], made=outdir)
+        _check_paths(outputs, [*inputs, ("--source-ckpt", args.source_ckpt)], made=made)
     outdir.mkdir(parents=True, exist_ok=True)
     for sub in subs:
         code = sub.func(sub)

@@ -510,13 +510,20 @@ def run_stages(model: Model, h: np.ndarray, start: int = 0, stop: int | None = N
         h = np.atleast_2d(np.asarray(h, dtype=np.float64))
         if h.shape[-1] != model.spec.input_length:
             raise L.ShapeError(f"windows must have {model.spec.input_length} samples")
+    return _run_stages(model, h, start, stop, caches, raw=start == 0 < stop)
+
+
+def _run_stages(model: Model, h: np.ndarray, start: int, stop: int, caches: list | None = None,
+                raw: bool = False) -> np.ndarray:
+    """run_stages on h, whose raw windows it standardizes only if raw: stage 0
+    also runs on windows standardized already, a forward's first cache."""
     dense = max(start, min(stop, model.n_conv))
     if caches is None and dense > start and h.shape[-2] > CONV_CHUNK + 1:
         # a 1-window tail joins the last chunk; standardize works window by window
         parts = np.split(h, range(CONV_CHUNK, h.shape[-2] - 1, CONV_CHUNK), axis=-2)
-        h = np.concatenate([run_stages(model, p, start, dense) for p in parts], axis=-2)
-        return run_stages(model, h, dense, stop)
-    if start == 0 < stop:
+        h = np.concatenate([_run_stages(model, p, start, dense, raw=raw) for p in parts], axis=-2)
+        return _run_stages(model, h, dense, stop)
+    if raw:
         h = standardize(h)
     if dense > start:
         h = _conv_forward(model, h, start, dense, caches)

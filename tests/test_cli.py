@@ -714,6 +714,23 @@ class TestOutputPaths:
         assert {out.parent for _, out in steps} == {Path("fresh/new")}
 
 
+    @pytest.mark.parametrize("case", ["case1", "case2"])
+    @pytest.mark.parametrize("outdir", ["f", "f/new"], ids=["a_file", "under_a_file"])
+    def test_replicate_outdir_that_is_no_directory_exits_2_before_any_work(
+            self, tmp_path, monkeypatch, capsys, case, outdir):
+        """replicate's new --outdir is exempt from the directory check only
+        where mkdir can make it; a file there used to surface as exit 3 from
+        mkdir."""
+        monkeypatch.chdir(tmp_path)
+        forbid_work(monkeypatch)
+        (tmp_path / "f").write_text("")
+        source = ["--source-ckpt", "c1.ckpt"] if case == "case2" else []
+        assert run_cli("replicate", case, "--outdir", outdir, *source) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "is not a directory" in err[0]
+        assert [p.relative_to(tmp_path) for p in tmp_path.rglob("*")] == [Path("f")]
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["train", "--out", "x.ckpt"],  # --data missing

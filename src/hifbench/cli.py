@@ -45,6 +45,7 @@ EXIT_DIVERGENCE = 4
 EXIT_FINGERPRINT = 5
 
 GRADCHECK_TOLERANCE = 1e-4
+MAX_JSON_BYTES = 1 << 20  # the largest config or spec file read
 
 
 class CliError(Exception):
@@ -70,6 +71,19 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _read_json_text(path, what: str) -> str:
+    """A config or spec file's UTF-8 text.  Only MAX_JSON_BYTES + 1 bytes are
+    read: a larger file, or one without end, exits 2."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read(MAX_JSON_BYTES + 1)
+        if len(data) <= MAX_JSON_BYTES:
+            return data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {what}: {exc}", EXIT_CONFIG) from exc
+    raise CliError(f"cannot read {what}: {path} is larger than {MAX_JSON_BYTES} bytes", EXIT_CONFIG)
+
+
 def _load_gen_config(args) -> GenConfig:
     """The profile or config file, with --seed and --count applied before a
     config file is checked, so that they can replace its invalid values."""
@@ -77,11 +91,7 @@ def _load_gen_config(args) -> GenConfig:
                  if value is not None}
     if args.profile:
         return dataclasses.replace(profiles.GEN_PROFILES[args.profile], **overrides)
-    try:
-        text = Path(args.config).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(f"cannot read config: {exc}", EXIT_CONFIG) from exc
-    return GenConfig.from_json(text, overrides)
+    return GenConfig.from_json(_read_json_text(args.config, "config"), overrides)
 
 
 def _model_spec(name: str):
@@ -89,9 +99,11 @@ def _model_spec(name: str):
         return profiles.CNN_SPEC
     if name == "mlp":
         return profiles.MLP_SPEC
+    text = _read_json_text(name, "model spec")
     try:
-        return spec_from_dict(json.loads(Path(name).read_text()))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, SpecError, KeyError) as exc:
+        return spec_from_dict(json.loads(text))
+    # RecursionError: JSON nested deeper than the decoder recurses
+    except (json.JSONDecodeError, RecursionError, SpecError, KeyError) as exc:
         raise CliError(f"cannot load model spec {name!r}: {exc}", EXIT_CONFIG) from exc
 
 

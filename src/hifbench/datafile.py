@@ -1,29 +1,20 @@
-"""Versioned binary dataset files with a trailing CRC32 checksum.
+"""Dataset files: the fileio frame around one packed record per window.
 
-Layout (all little-endian):
-    header:  magic 8s | format_version u32 | generator_version u32 |
-             count u64 | window_length u32 | scenario_id u8 | master_seed u64
+    head:    generator_version u32 | count u64 | window_length u32 |
+             scenario_id u8 | master_seed u64
     record:  label u8 | scenario_id u8 | generation_seed u64 | samples f64[window_length]
-    footer:  crc32 u32 over everything preceding it
 
-Records are packed, 10 + 8 * window_length bytes each, and both directions move
-them CHUNK_WINDOWS at a time through one structured array, updating the CRC per
-chunk.  Writing therefore holds one chunk beyond the dataset itself, and reading
-holds one chunk beyond the (count, window_length) sample block that the
-returned windows are row views of; neither ever holds the whole file.  Reading
-notes each record's finiteness as its chunk arrives, and builds the windows
-only from a file whose every record is valid.
+Both directions move records CHUNK_WINDOWS at a time through one structured
+array, and a read checks every record before it builds any window.
 """
 
 from __future__ import annotations
 
-import os
 import struct
-import zlib
 
 import numpy as np
 
-from .fileio import write_atomic
+from .fileio import Frame, FramedReader, write_framed
 from .waveforms import CHUNK_WINDOWS, SCENARIOS, Dataset, Label, SystemId, Window, _row_windows
 
 MAGIC = b"HIFDATA\x01"
@@ -31,7 +22,6 @@ FORMAT_VERSION = 1
 
 _HEADER = struct.Struct("<8sIIQIBQ")
 _RECORD_HEAD = struct.Struct("<BBQ")
-_CRC = struct.Struct("<I")
 
 
 class DatasetFileError(Exception):
@@ -54,6 +44,8 @@ class DatasetFieldError(DatasetFileError):
     """A label or scenario byte names no known value, or a sample is not finite."""
 
 
+_FRAME = Frame("dataset", _HEADER, MAGIC, FORMAT_VERSION, 0,
+               (DatasetTruncatedError, DatasetVersionError, DatasetChecksumError))
 _SCENARIO_BY_ID = {s.system_id: s for s in SCENARIOS.values()}
 _LABELS = {int(v): v for v in Label}
 _SYSTEM_IDS = {int(v): v for v in SystemId}
@@ -65,11 +57,9 @@ def _record_dtype(window_length: int) -> np.dtype:
                      ("samples", "<f8", (window_length,))])
 
 
-def _encode(header: bytes, windows: list[Window], window_length: int):
-    """Yield the file as header, record chunks and CRC footer.  The chunk buffer
-    is reused, so each chunk must be consumed before the next is drawn."""
-    crc = zlib.crc32(header)
-    yield header
+def _encode(windows: list[Window], window_length: int):
+    """Yield the records in chunks.  The chunk buffer is reused, so each chunk
+    must be consumed before the next is drawn."""
     chunk = np.empty(min(len(windows), CHUNK_WINDOWS), _record_dtype(window_length))
     for start in range(0, len(windows), CHUNK_WINDOWS):
         part = windows[start : start + CHUNK_WINDOWS]
@@ -77,82 +67,40 @@ def _encode(header: bytes, windows: list[Window], window_length: int):
         records[["label", "scenario_id", "seed"]] = [
             (w.label, w.scenario_id, w.generation_seed) for w in part]
         np.stack([w.samples for w in part], out=records["samples"])
-        data = records.view(np.uint8)
-        crc = zlib.crc32(data, crc)
-        yield data
-    yield _CRC.pack(crc)
+        yield records.view(np.uint8)
 
 
 def write_dataset(d: Dataset, path) -> None:
-    if d.windows:
-        window_length = len(d.windows[0].samples)
-    else:
-        window_length = d.scenario.window_length
+    window_length = len(d.windows[0].samples) if d.windows else d.scenario.window_length
     if any(len(w.samples) != window_length for w in d.windows):
         raise DatasetFileError("all windows in a file must share one length")
-    header = _HEADER.pack(
-        MAGIC,
-        FORMAT_VERSION,
-        d.generator_version,
-        len(d.windows),
-        window_length,
-        int(d.scenario.system_id),
-        d.master_seed & 0xFFFFFFFFFFFFFFFF,
-    )
-    write_atomic(path, _encode(header, d.windows, window_length))
-
-
-def _read_records(f, count: int, window_length: int, crc: int, path):
-    """Read count records from f, CHUNK_WINDOWS at a time through one buffer.
-
-    Returns the CRC continued over them, their heads, their samples as one
-    (count, window_length) block, and whether each record's samples are finite.
-    """
-    heads = np.empty(count, [("label", "u1"), ("scenario_id", "u1"), ("seed", "<u8")])
-    block = np.empty((count, window_length))
-    finite = np.empty(count, bool)
-    if count:  # with no records the size does not bound window_length, nor its dtype's size
-        chunk = np.empty(min(count, CHUNK_WINDOWS), _record_dtype(window_length))
-    for start in range(0, count, CHUNK_WINDOWS):
-        records = chunk[: min(CHUNK_WINDOWS, count - start)]
-        data = records.view(np.uint8)
-        if f.readinto(data) != data.size:
-            raise DatasetTruncatedError(f"{path}: file shrank while being read")
-        crc = zlib.crc32(data, crc)
-        rows = slice(start, start + len(records))
-        heads[rows] = records[["label", "scenario_id", "seed"]]
-        block[rows] = records["samples"]
-        finite[rows] = np.isfinite(block[rows]).all(axis=1)
-    return crc, heads, block, finite
+    fields = (d.generator_version, len(d.windows), window_length, int(d.scenario.system_id),
+              d.master_seed & 0xFFFFFFFFFFFFFFFF)
+    write_framed(path, _FRAME, fields, _encode(d.windows, window_length))
 
 
 def read_dataset(path) -> Dataset:
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        header = f.read(_HEADER.size)
-        if size < _HEADER.size + _CRC.size or len(header) < _HEADER.size:
-            raise DatasetTruncatedError(f"{path}: file too short for a dataset header")
-        magic, fmt, gen_version, count, window_length, scenario_id, master_seed = (
-            _HEADER.unpack(header))
-        if magic != MAGIC:
-            raise DatasetTruncatedError(f"{path}: bad magic, not a dataset file")
-        if fmt != FORMAT_VERSION:
-            raise DatasetVersionError(f"{path}: format version {fmt}, expected {FORMAT_VERSION}")
-
-        record_size = _RECORD_HEAD.size + 8 * window_length
-        expected = _HEADER.size + count * record_size + _CRC.size
-        if size != expected:
-            raise DatasetTruncatedError(
-                f"{path}: expected {expected} bytes for {count} windows, found {size}"
-            )
-
-        crc, heads, block, finite = _read_records(
-            f, count, window_length, zlib.crc32(header), path)
-        footer = f.read(_CRC.size)
-    if len(footer) != _CRC.size:
-        raise DatasetTruncatedError(f"{path}: file shrank while being read")
-    if crc != _CRC.unpack(footer)[0]:
-        raise DatasetChecksumError(f"{path}: checksum mismatch")
+        r = FramedReader(f, path, _FRAME)
+        gen_version, count, window_length, scenario_id, master_seed = r.fields
+        expected = count * (_RECORD_HEAD.size + 8 * window_length)
+        if r.body_size != expected:
+            raise DatasetTruncatedError(f"{path}: {count} windows need {expected} record "
+                                        f"bytes, found {r.body_size}")
+        # CHUNK_WINDOWS records at a time through one buffer into the sample block
+        heads = np.empty(count, [("label", "u1"), ("scenario_id", "u1"), ("seed", "<u8")])
+        block = np.empty((count, window_length))
+        finite = np.empty(count, bool)
+        if count:  # with no records the size does not bound window_length, nor its dtype's size
+            chunk = np.empty(min(count, CHUNK_WINDOWS), _record_dtype(window_length))
+        for start in range(0, count, CHUNK_WINDOWS):
+            records = chunk[: min(CHUNK_WINDOWS, count - start)]
+            r.readinto(records.view(np.uint8))
+            rows = slice(start, start + len(records))
+            heads[rows] = records[["label", "scenario_id", "seed"]]
+            block[rows] = records["samples"]
+            finite[rows] = np.isfinite(block[rows]).all(axis=1)
+        r.finish()
     if scenario_id not in _SCENARIO_BY_ID:
         raise DatasetFieldError(f"{path}: unknown scenario id {scenario_id}")
 

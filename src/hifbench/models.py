@@ -39,15 +39,13 @@ import os
 import queue
 import struct
 import threading
-import zlib
 from dataclasses import astuple, dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import layers as L
-from .fileio import write_atomic
+from .fileio import Frame, FramedReader, write_framed
 
 INPUT_LENGTH = 300
 STD_FLOOR = 1e-8
@@ -607,48 +605,40 @@ class Checkpoint:
         return spec_from_dict(self.metadata["spec"])
 
 
+# Inside the fileio frame: a head of fingerprint 32s | count u64, and a body of
+# params f64[count] | meta_len u32 | metadata (JSON, UTF-8) [meta_len].
+_CKPT_HEAD = struct.Struct("<8sI32sQ")
+_META_LEN = struct.Struct("<I")
+_CKPT_FRAME = Frame("checkpoint", _CKPT_HEAD, CKPT_MAGIC, CKPT_VERSION, _META_LEN.size,
+                    (CheckpointCorruptError, CheckpointVersionError, CheckpointCorruptError))
+
+
 def save_checkpoint(model: Model, metadata: dict, path) -> Checkpoint:
-    meta = dict(metadata)
-    meta["spec"] = model.spec.to_dict()
+    meta = {**metadata, "spec": model.spec.to_dict()}
     params = model.flat_parameters()
     meta_blob = json.dumps(meta, sort_keys=True).encode()
-    chunks = [
-        CKPT_MAGIC + struct.pack("<I", CKPT_VERSION) + fingerprint(model.spec)
-        + struct.pack("<Q", params.size),
-        np.ascontiguousarray(params, dtype="<f8"),
-        struct.pack("<I", len(meta_blob)) + meta_blob,
-    ]
-    crc = 0
-    for chunk in chunks:
-        crc = zlib.crc32(chunk, crc)
-    write_atomic(path, [*chunks, struct.pack("<I", crc)])
-    return Checkpoint(fingerprint(model.spec), params, meta)
+    fp = fingerprint(model.spec)
+    write_framed(path, _CKPT_FRAME, (fp, params.size),
+                 [np.ascontiguousarray(params, dtype="<f8"),
+                  _META_LEN.pack(len(meta_blob)) + meta_blob])
+    return Checkpoint(fp, params, meta)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    blob = Path(path).read_bytes()
-    head = len(CKPT_MAGIC) + 4 + 32 + 8
-    if len(blob) < head + 8 or blob[: len(CKPT_MAGIC)] != CKPT_MAGIC:
-        raise CheckpointCorruptError(f"{path}: not a checkpoint file")
-    (version,) = struct.unpack_from("<I", blob, len(CKPT_MAGIC))
-    if version != CKPT_VERSION:
-        raise CheckpointVersionError(f"{path}: checkpoint version {version} unsupported")
-    fp = blob[len(CKPT_MAGIC) + 4 : len(CKPT_MAGIC) + 36]
-    (count,) = struct.unpack_from("<Q", blob, len(CKPT_MAGIC) + 36)
-    offset = head
-    if len(blob) < offset + 8 * count + 8:
-        raise CheckpointCorruptError(f"{path}: truncated parameter block")
-    params = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).copy()
-    offset += 8 * count
-    (meta_len,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    if len(blob) != offset + meta_len + 4:
-        raise CheckpointCorruptError(f"{path}: truncated metadata block")
-    (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    if zlib.crc32(memoryview(blob)[:-4]) != stored_crc:
-        raise CheckpointCorruptError(f"{path}: checksum mismatch")
+    with open(path, "rb") as f:
+        r = FramedReader(f, path, _CKPT_FRAME)
+        fp, count = r.fields
+        if r.body_size < 8 * count + _META_LEN.size:
+            raise CheckpointCorruptError(f"{path}: truncated parameter block")
+        params = np.empty(count, "<f8")
+        r.readinto(params)
+        (meta_len,) = _META_LEN.unpack(r.read(_META_LEN.size))
+        if r.body_size != 8 * count + _META_LEN.size + meta_len:
+            raise CheckpointCorruptError(f"{path}: truncated metadata block")
+        meta_blob = r.read(meta_len)
+        r.finish()
     try:
-        metadata = json.loads(blob[offset : offset + meta_len].decode())
+        metadata = json.loads(meta_blob.decode())
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nesting too deep
         raise CheckpointCorruptError(f"{path}: metadata is not valid JSON") from exc
     if not isinstance(metadata, dict) or not isinstance(metadata.get("spec"), dict):

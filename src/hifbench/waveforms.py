@@ -365,7 +365,7 @@ class GenConfig:
     def from_json(cls, text: str, overrides: dict | None = None) -> "GenConfig":
         try:
             d = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_dict(d, overrides)
 
@@ -423,7 +423,8 @@ def _synthesize(scenario: FeederScenario, jobs, count: int) -> list[Window]:
     for start in range(0, count, CHUNK_WINDOWS):
         chunk = [next(jobs) for _ in range(min(CHUNK_WINDOWS, count - start))]
         part = block[start : start + len(chunk)]
-        _synthesize_chunk(scenario, chunk, part, labels, seeds)
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below raises instead
+            _synthesize_chunk(scenario, chunk, part, labels, seeds)
         finite = np.isfinite(part).all(axis=1)
         if not finite.all():
             raise ConfigError(f"window {start + int(finite.argmin())}: samples must be finite")

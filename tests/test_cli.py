@@ -121,6 +121,28 @@ class TestGen:
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize("command", ["gen", "gradcheck"])
+    def test_deeply_nested_json_is_config_error(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        flag = {"gen": ["--config", path, "--out", tmp_path / "x"], "gradcheck": ["--model", path]}
+        assert run_cli(command, *flag[command]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at_the_cap", "one_byte_over"])
+    def test_config_larger_than_the_cap_is_config_error(self, tmp_path, capsys, extra):
+        text = json.dumps(GenConfig("target", 4, 3).to_dict())
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(text + " " * (cli.MAX_JSON_BYTES - len(text) + extra))
+        out = tmp_path / "x.dataset"
+        code = run_cli("gen", "--config", cfg, "--out", out)
+        if extra:
+            assert code == cli.EXIT_CONFIG and not out.exists()
+            assert capsys.readouterr().err == (
+                f"error: cannot read config: {cfg} is larger than {cli.MAX_JSON_BYTES} bytes\n")
+        else:
+            assert code == cli.EXIT_OK and len(read_dataset(out)) == 4
+
     def test_config_not_an_object_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text("[]")
@@ -790,3 +812,44 @@ def test_python_dash_m_runs_the_cli():
     bad = run("gradcheck", "--seed", "abc")
     assert bad.returncode == cli.EXIT_USAGE
     assert "invalid int value" in bad.stderr and "Traceback" not in bad.stderr
+
+
+def run_module(*argv) -> tuple[int, list[str]]:
+    """(exit code, stderr lines) of python -m hifbench argv in a child process
+    whose address space sh's ulimit caps at 1.5 GB, so that a read without end
+    fails fast instead of taking the machine's memory."""
+    import os
+    import subprocess
+    import sys
+
+    import hifbench
+
+    env = dict(os.environ)
+    src = str(Path(hifbench.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(["sh", "-c", 'ulimit -v 1500000 && exec "$0" -m hifbench "$@"',
+                          sys.executable, *map(str, argv)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    return run.returncode, run.stderr.splitlines()
+
+
+class TestOneErrorLine:
+    @pytest.mark.skipif(not Path("/dev/zero").exists(), reason="needs /dev/zero")
+    @pytest.mark.parametrize("argv, code", [
+        (["gen", "--config", "/dev/zero", "--out", "{tmp}/x.dataset"], cli.EXIT_CONFIG),
+        (["train", "--data", "{data}", "--model", "/dev/zero", "--out", "{tmp}/m.ckpt"],
+         cli.EXIT_CONFIG),
+        (["gradcheck", "--model", "/dev/zero"], cli.EXIT_CONFIG),
+        (["eval", "--ckpt", "/dev/zero", "--data", "{data}"], cli.EXIT_DATA),
+    ], ids=["gen_config", "train_model", "gradcheck_model", "eval_ckpt"])
+    def test_an_endless_input_is_refused(self, dataset_file, tmp_path, argv, code):
+        got, err = run_module(*(a.format(tmp=tmp_path, data=dataset_file) for a in argv))
+        assert got == code and len(err) == 1 and err[0].startswith("error: "), err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_gen_whose_samples_overflow_prints_only_the_error(self, tmp_path):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"scenario": "source", "count": 4, "seed": 1,
+                                   "ranges": {"loading": [1e307, 1e307]}}))
+        code, err = run_module("gen", "--config", cfg, "--out", tmp_path / "x.dataset")
+        assert (code, err) == (cli.EXIT_CONFIG, ["error: window 0: samples must be finite"])

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import struct
 import zlib
@@ -12,8 +13,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from hifbench import layers as L
 from hifbench import models
+from hifbench.datafile import write_dataset
 from hifbench.models import (
     CKPT_MAGIC,
+    CKPT_VERSION,
     CONV_CHUNK,
     CheckpointCorruptError,
     CheckpointVersionError,
@@ -37,6 +40,7 @@ from hifbench.models import (
 )
 from hifbench.profiles import CNN_SPEC
 
+from test_datafile import synthetic_dataset, traced_peak
 from test_layers import add_at_maxpool_backward
 
 TINY_CNN = CnnSpec(
@@ -542,3 +546,54 @@ class TestCheckpoints:
         rewrite_metadata(path, meta)
         with pytest.raises(CheckpointCorruptError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("spec", [TINY_MLP, TINY_CNN], ids=["mlp", "cnn"])
+    def test_bytes_equal_reference_encoder(self, tmp_path, spec):
+        model = build_model(spec, 9)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, {"init_seed": 9, "note": "é"}, path)
+        assert path.read_bytes() == reference_checkpoint(model, {"init_seed": 9, "note": "é"})
+
+    @settings(max_examples=100, deadline=None)
+    @given(draw=st.data())
+    def test_any_truncation_is_corrupt(self, ckpt_blob, tmp_path_factory, draw):
+        path = tmp_path_factory.mktemp("cut") / "m.ckpt"
+        path.write_bytes(ckpt_blob[: draw.draw(st.integers(0, len(ckpt_blob) - 1))])
+        with pytest.raises(CheckpointCorruptError):
+            load_checkpoint(path)
+
+    def test_load_holds_one_copy_of_the_file(self, tmp_path):
+        model = build_model(CNN_SPEC, 0)
+        path = tmp_path / "cnn.ckpt"
+        save_checkpoint(model, {"init_seed": 0}, path)
+        ckpt, peak = traced_peak(load_checkpoint, path)
+        assert peak <= 1.25 * path.stat().st_size
+        assert ckpt.params.tobytes() == model.params.tobytes()
+
+    def test_a_dataset_is_refused_from_its_head(self, tmp_path):
+        path = tmp_path / "d.dataset"
+        write_dataset(synthetic_dataset(1000), path)
+
+        def refused():
+            with pytest.raises(CheckpointCorruptError, match="bad magic"):
+                load_checkpoint(path)
+
+        _, peak = traced_peak(refused)
+        assert peak < path.stat().st_size / 100
+
+
+def reference_checkpoint(model: Model, metadata: dict) -> bytes:
+    """The file bytes as a struct.pack writer lays them out: magic | version |
+    fingerprint | count | f64 params | meta_len | metadata | crc32."""
+    meta = json.dumps({**metadata, "spec": model.spec.to_dict()}, sort_keys=True).encode()
+    params = model.flat_parameters()
+    body = (CKPT_MAGIC + struct.pack("<I32sQ", CKPT_VERSION, fingerprint(model.spec), params.size)
+            + struct.pack(f"<{params.size}d", *params) + struct.pack("<I", len(meta)) + meta)
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+@pytest.fixture(scope="module")
+def ckpt_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    save_checkpoint(build_model(TINY_CNN, 9), {"init_seed": 9}, path)
+    return path.read_bytes()

@@ -565,7 +565,6 @@ class TestChunkedSynthesis:
         rows = [w.samples for w in small_dataset.windows]
         assert all(r.base is not None and r.base is rows[0].base for r in rows)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_window_is_rejected(self):
         # a loading range this wide overflows the load current to inf
         cfg = GenConfig(scenario="source", count=4, seed=1,
@@ -573,7 +572,6 @@ class TestChunkedSynthesis:
         with pytest.raises(ConfigError, match="window 0: samples must be finite"):
             build_dataset(cfg)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_first_non_finite_window_past_the_first_chunk_is_named(self):
         # two overflowing windows in the second chunk, and in the third a window
         # whose parameters are invalid: the chunk that fails first names the error

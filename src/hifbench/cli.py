@@ -46,6 +46,7 @@ EXIT_FINGERPRINT = 5
 
 GRADCHECK_TOLERANCE = 1e-4
 MAX_JSON_BYTES = 1 << 20  # the largest config or spec file read
+HASH_CHUNK_BYTES = 1 << 18  # an artifact is hashed this many bytes at a time
 
 
 class CliError(Exception):
@@ -68,7 +69,11 @@ def _write_manifest(out_path: Path, command: str, config_snapshot: dict, seeds: 
 
 
 def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        while chunk := f.read(HASH_CHUNK_BYTES):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _read_json_text(path, what: str) -> str:
@@ -118,8 +123,8 @@ def _train_config(args, base: TrainConfig) -> TrainConfig:
 
 
 def cmd_gen(args) -> int:
-    cfg = _load_gen_config(args)
-    dataset = build_dataset(cfg)  # validates cfg before it allocates or writes anything
+    cfg = _load_gen_config(args)  # a GenConfig is checked as it is made, before any allocation
+    dataset = build_dataset(cfg)
     out = Path(args.out)
     write_dataset(dataset, out)
     _write_manifest(out, "gen", cfg.to_dict(), {"master_seed": cfg.seed},

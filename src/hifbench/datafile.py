@@ -74,8 +74,10 @@ def write_dataset(d: Dataset, path) -> None:
     window_length = len(d.windows[0].samples) if d.windows else d.scenario.window_length
     if any(len(w.samples) != window_length for w in d.windows):
         raise DatasetFileError("all windows in a file must share one length")
+    if not 0 <= d.master_seed < 2**64:  # the head's u64 field
+        raise DatasetFileError(f"master_seed must lie in [0, 2**64), got {d.master_seed}")
     fields = (d.generator_version, len(d.windows), window_length, int(d.scenario.system_id),
-              d.master_seed & 0xFFFFFFFFFFFFFFFF)
+              d.master_seed)
     write_framed(path, _FRAME, fields, _encode(d.windows, window_length))
 
 

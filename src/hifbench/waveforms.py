@@ -12,6 +12,9 @@ one window at a time; the waveforms themselves are computed CHUNK_WINDOWS
 windows at a time, as rows of one array, by elementwise operations that give
 each row the bytes a per-window computation would.  Each chunk is checked
 finite once, as it is computed, and its windows are then built from its rows.
+
+A GenConfig checks itself when made, its ranges against the fault model at the
+least and greatest values numpy draws from them, so no window is checked again.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -111,19 +114,6 @@ class TransientParams:
     inception_angle: float  # radians
     damping_time_constant: float = 0.0  # seconds, CapacitorSwitch only
     oscillation_frequency: float = 0.0  # hertz, CapacitorSwitch only
-
-    def validate(self) -> None:
-        if not (0.0 <= self.inception_angle < 2 * math.pi):
-            raise ConfigError("inception_angle must lie in [0, 2*pi)")
-        if self.magnitude < 0:
-            raise ConfigError("magnitude must be nonnegative")
-        if self.kind != TransientKind.LOAD_STEP and self.magnitude == 0:
-            raise ConfigError("magnitude must be positive for switching transients")
-        if self.kind == TransientKind.CAPACITOR_SWITCH:
-            if self.damping_time_constant <= 0:
-                raise ConfigError("damping_time_constant must be positive")
-            if self.oscillation_frequency <= 60.0:
-                raise ConfigError("oscillation_frequency must exceed 60 Hz")
 
 
 @dataclass
@@ -217,6 +207,10 @@ def _row_windows(block: np.ndarray, labels, scenario_ids, seeds) -> list[Window]
     return windows
 
 
+def _is_number(x) -> bool:  # as a JSON number decodes: a bool is not one
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _rng(rng_seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed)))
 
@@ -229,6 +223,9 @@ class ParamRanges:
     independently and negated, so asymmetric thresholds are the norm).
     frequency is the grid fundamental in hertz, drawn per window to mimic
     a feeder whose measured frequency wanders around nominal.
+
+    Each is a pair of numbers (not bools), kept as floats, that numpy can
+    draw from; GenConfig checks them against the fault model.
     """
 
     _FIELDS = ("v_p", "v_n", "r_p", "r_n", "loading", "jitter", "frequency")
@@ -241,35 +238,32 @@ class ParamRanges:
     jitter: tuple[float, float] = (0.10, 0.30)
     frequency: tuple[float, float] = (52.0, 68.0)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in self._FIELDS:
-            lo, hi = getattr(self, name)
+            pair = getattr(self, name)
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and all(map(_is_number, pair))):
+                raise ConfigError(f"range {name} must be a [low, high] pair of numbers")
+            try:
+                lo, hi = float(pair[0]), float(pair[1])
+            except OverflowError:  # an int beyond the largest float
+                raise ConfigError(f"unbounded range for {name}: {tuple(pair)}") from None
             if not (lo <= hi):
                 raise ConfigError(f"empty range for {name}: ({lo}, {hi})")
             if not math.isfinite(hi - lo):  # a range numpy cannot draw from
                 raise ConfigError(f"unbounded range for {name}: ({lo}, {hi})")
-        if self.frequency[0] <= 0:
-            raise ConfigError("frequency range must be positive")
-
-    def to_dict(self) -> dict:
-        return {name: list(getattr(self, name)) for name in self._FIELDS}
+            object.__setattr__(self, name, (lo, hi))
+        if not (self.frequency[0] > 0 and self.loading[0] > 0):
+            raise ConfigError("frequency and loading ranges must be positive")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ParamRanges":
         if not isinstance(d, dict):
             raise ConfigError("ranges must be an object")
-        kwargs = {}
-        for name, value in d.items():
-            if name not in cls._FIELDS:
-                raise ConfigError(f"unknown range key: {name}")
-            try:
-                lo, hi = value
-                kwargs[name] = (float(lo), float(hi))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"range {name} must be a [low, high] pair of numbers") from exc
-        r = cls(**kwargs)
-        r.validate()
-        return r
+        unknown = set(d) - set(cls._FIELDS)
+        if unknown:
+            raise ConfigError(f"unknown range keys: {sorted(unknown)}")
+        return cls(**d)
 
 
 DEFAULT_TRANSIENT_MIX = {"load_step": 1.0, "capacitor_switch": 1.0, "feeder_switch": 1.0}
@@ -302,23 +296,37 @@ class GenConfig:
     ranges: ParamRanges = field(default_factory=ParamRanges)
     transient_mix: dict = field(default_factory=lambda: dict(DEFAULT_TRANSIENT_MIX))
 
-    def validate(self) -> None:
-        if self.scenario not in SCENARIOS:
+    def __post_init__(self):
+        if not (isinstance(self.scenario, str) and self.scenario in SCENARIOS):
             raise ConfigError(f"unknown scenario: {self.scenario!r}")
-        if not 2 <= self.count < 2**64:  # the dataset file stores it as a u64
-            raise ConfigError(f"count must lie in [2, 2**64), got {self.count}")
-        if not 0 <= self.seed < 2**64:  # the dataset file stores it as a u64
-            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
-        self.ranges.validate()
+        for name, low in (("count", 2), ("seed", 0)):  # the dataset file stores each as a u64
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool, float or str is refused, not coerced
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if not low <= value < 2**64:
+                raise ConfigError(f"{name} must lie in [{low}, 2**64), got {value}")
+        if not isinstance(self.ranges, ParamRanges):
+            raise ConfigError("ranges must be a ParamRanges")
         # Above the Nyquist rate a half cycle is shorter than a sample; at a low
         # enough frequency the samples per cycle, and so the inception, overflow.
-        sampling_rate = SCENARIOS[self.scenario].sampling_rate
+        scenario = SCENARIOS[self.scenario]
+        sampling_rate, peak = scenario.sampling_rate, scenario.peak_voltage
         low, high = self.ranges.frequency
         if not (high < sampling_rate / 2 and math.isfinite(sampling_rate / low)):
             raise ConfigError(f"frequency range ({low}, {high}) must lie within "
                               f"(0, {sampling_rate / 2}) Hz with finite samples per cycle")
+        # Generator.uniform(lo, hi) is lo + (hi - lo) * u for u in [0, 1 - 2**-53],
+        # so every window's fault parameters are valid when those at both ends are.
+        r = self.ranges
+        for u in (0.0, 1 - 2**-53):
+            v_p, v_n, r_p, r_n, jitter = (lo + (hi - lo) * u for lo, hi in
+                                          (r.v_p, r.v_n, r.r_p, r.r_n, r.jitter))
+            HifParams(v_p * peak, -v_n * peak, r_p, r_n, 0.0, jitter).validate(peak)
+        if not isinstance(self.transient_mix, dict):
+            raise ConfigError("transient_mix must be an object")
+        object.__setattr__(self, "transient_mix", dict(self.transient_mix))  # not the caller's
         weights = list(self.transient_mix.values())
-        if not all(isinstance(w, numbers.Real) and math.isfinite(w) and w >= 0 for w in weights):
+        if not all(_is_number(w) and math.isfinite(w) and w >= 0 for w in weights):
             raise ConfigError("transient_mix weights must be finite nonnegative numbers")
         if not (weights and 0 < sum(weights) < math.inf):
             raise ConfigError("transient_mix weights must sum to a finite number > 0")
@@ -327,13 +335,7 @@ class GenConfig:
                 raise ConfigError(f"unknown transient kind: {kind}")
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "count": self.count,
-            "seed": self.seed,
-            "ranges": self.ranges.to_dict(),
-            "transient_mix": dict(self.transient_mix),
-        }
+        return asdict(self)  # the ranges as pairs, which JSON writes as [low, high]
 
     @classmethod
     def from_dict(cls, d: dict, overrides: dict | None = None) -> "GenConfig":
@@ -342,24 +344,15 @@ class GenConfig:
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
         d = {**d, **(overrides or {})}
-        allowed = {"scenario", "count", "seed", "ranges", "transient_mix"}
-        unknown = set(d) - allowed
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            cfg = cls(
-                scenario=str(d["scenario"]),
-                count=int(d["count"]),
-                seed=int(d["seed"]),
-                ranges=ParamRanges.from_dict(d.get("ranges", {})),
-                transient_mix=dict(d.get("transient_mix", DEFAULT_TRANSIENT_MIX)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing config key: {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"malformed config value: {exc}") from exc
-        cfg.validate()
-        return cfg
+        missing = {"scenario", "count", "seed"} - set(d)
+        if missing:
+            raise ConfigError(f"missing config keys: {sorted(missing)}")
+        if "ranges" in d:
+            d["ranges"] = ParamRanges.from_dict(d["ranges"])
+        return cls(**d)
 
     @classmethod
     def from_json(cls, text: str, overrides: dict | None = None) -> "GenConfig":
@@ -413,7 +406,7 @@ def _synthesize(scenario: FeederScenario, jobs, count: int) -> list[Window]:
     and the SeedSequence of its synthesis draws.  The scenario gives every other
     field.  Draws are made window by window, in the order of the per-window law;
     the waveforms are computed CHUNK_WINDOWS windows at a time into one block,
-    each chunk checked finite as it is filled."""
+    each chunk checked finite as it is filled; no job's parameters are checked."""
     try:
         block = np.empty((count, scenario.window_length))
     except (MemoryError, ValueError) as exc:  # ValueError: more elements than an index holds
@@ -451,13 +444,7 @@ def _synthesize_chunk(scenario: FeederScenario, jobs, out: np.ndarray, labels: l
     rngs, rows, kinds = [], [], []
     events = [[], [], [], []]  # HIF windows' fields, then one list per TransientKind
     for loading, frequency, p, seq in jobs:
-        if loading <= 0:
-            raise ConfigError("loading must be positive")
         is_hif = isinstance(p, HifParams)
-        if is_hif:
-            p.validate(scenario.peak_voltage)
-        else:
-            p.validate()
         rng = np.random.Generator(np.random.PCG64(seq))
         uniform = rng.uniform
         # the window's load texture, drawn in the order the waveform uses it
@@ -587,7 +574,6 @@ def build_dataset(config: GenConfig, master_seed: int | None = None) -> Dataset:
     """Balanced labeled dataset; windows are independent given (seed, index)."""
     if master_seed is not None:
         config = replace(config, seed=master_seed)
-    config.validate()
     scenario = SCENARIOS[config.scenario]
     jobs = _dataset_jobs(config, config.seed, range(config.count))
     return Dataset(_synthesize(scenario, jobs, config.count), config.seed, scenario)

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import struct
 import warnings
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from hifbench.models import MlpSpec, build_model, save_checkpoint
 from hifbench.profiles import CNN_SPEC
 from hifbench.waveforms import GenConfig
 
+from test_datafile import traced_peak
 from test_models import TINY_MLP
 
 SMALL_MLP = MlpSpec(hidden_dims=(8, 8, 4), input_length=300)
@@ -54,9 +57,15 @@ class TestGen:
                        "--out", out) == cli.EXIT_OK
         manifest = json.loads((tmp_path / "out.dataset.manifest.json").read_text())
         assert manifest["command"] == "gen"
-        import hashlib
         assert manifest["artifacts"]["dataset_sha256"] == hashlib.sha256(
             out.read_bytes()).hexdigest()
+
+    def test_artifact_hash_holds_one_chunk(self, tmp_path):
+        path = tmp_path / "big.bin"
+        path.write_bytes(np.random.default_rng(0).bytes(6 << 20))
+        digest, peak = traced_peak(cli._sha256, path)
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert peak < 2.5 * cli.HASH_CHUNK_BYTES
 
     def test_seed_override(self, tmp_path):
         a, b = tmp_path / "a.dataset", tmp_path / "b.dataset"
@@ -142,6 +151,29 @@ class TestGen:
                 f"error: cannot read config: {cfg} is larger than {cli.MAX_JSON_BYTES} bytes\n")
         else:
             assert code == cli.EXIT_OK and len(read_dataset(out)) == 4
+
+    @pytest.mark.parametrize("change", [
+        {"count": 4.7}, {"seed": 2.9}, {"seed": True}, {"count": "4"},
+        {"ranges": {"r_p": ["150", "200"]}}, {"transient_mix": {"load_step": True}},
+    ], ids=["count_float", "seed_float", "seed_bool", "count_str", "range_bounds_str",
+            "weight_bool"])
+    def test_config_numbers_must_be_json_numbers(self, tmp_path, capsys, change):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"scenario": "target", "count": 4, "seed": 3, **change}))
+        out = tmp_path / "x.dataset"
+        assert run_cli("gen", "--config", cfg, "--out", out) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_ranges_outside_the_fault_model_fail_whatever_the_seed(self, tmp_path, capsys):
+        """The bounds are checked on the ranges, not on the windows a seed draws."""
+        cfg, out = tmp_path / "c.json", tmp_path / "x.dataset"
+        for seed in range(8):
+            cfg.write_text(json.dumps({"scenario": "source", "count": 2, "seed": seed,
+                                       "ranges": {"r_p": [50, 600]}}))
+            assert run_cli("gen", "--config", cfg, "--out", out) == cli.EXIT_CONFIG, seed
+            assert "fault resistances must lie in [100, 600] ohms" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == [cfg]
 
     def test_config_not_an_object_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

@@ -104,6 +104,18 @@ def test_mixed_window_lengths_rejected(tmp_path):
         write_dataset(d, tmp_path / "bad.dataset")
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70 + 5])
+def test_master_seed_outside_u64_is_refused(tmp_path, seed):
+    """The head's u64 field cannot hold it: nothing is written, no temporary
+    file is left, and the seed is not read back masked."""
+    sc = SCENARIOS["source"]
+    d = Dataset([Window(np.zeros(sc.window_length), Label.HIF, SystemId.SOURCE, 1)],
+                master_seed=seed, scenario=sc)
+    with pytest.raises(DatasetFileError, match=r"master_seed must lie in \[0, 2\*\*64\)"):
+        write_dataset(d, tmp_path / "x.dataset")
+    assert not list(tmp_path.iterdir())
+
+
 def recrc(blob: bytearray) -> bytes:
     body = bytes(blob[:-4])
     return body + struct.pack("<I", zlib.crc32(body))

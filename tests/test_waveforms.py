@@ -24,6 +24,7 @@ from hifbench.waveforms import (
     TransientKind,
     TransientParams,
     Window,
+    _dataset_jobs,
     _synthesize,
     add_noise,
     build_dataset,
@@ -118,23 +119,6 @@ class TestParamValidation:
     def test_inception_angle_range(self):
         with pytest.raises(ConfigError):
             make_params(inception_angle=7.0).validate(SOURCE.peak_voltage)
-
-    def test_load_step_allows_zero_magnitude(self):
-        TransientParams(TransientKind.LOAD_STEP, 0.0, 1.0).validate()
-
-    def test_switch_transients_need_positive_magnitude(self):
-        with pytest.raises(ConfigError):
-            TransientParams(TransientKind.FEEDER_SWITCH, 0.0, 1.0).validate()
-
-    def test_capacitor_needs_damping_and_frequency(self):
-        with pytest.raises(ConfigError):
-            TransientParams(TransientKind.CAPACITOR_SWITCH, 0.5, 1.0,
-                            damping_time_constant=0.0,
-                            oscillation_frequency=400.0).validate()
-        with pytest.raises(ConfigError):
-            TransientParams(TransientKind.CAPACITOR_SWITCH, 0.5, 1.0,
-                            damping_time_constant=0.005,
-                            oscillation_frequency=50.0).validate()
 
 
 class TestAddNoise:
@@ -270,23 +254,126 @@ class TestGenConfig:
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigError):
-            GenConfig(scenario="moon", count=10, seed=1).validate()
+            GenConfig(scenario="moon", count=10, seed=1)
 
     def test_bad_transient_mix_rejected(self):
         with pytest.raises(ConfigError):
-            GenConfig(scenario="source", count=10, seed=1,
-                      transient_mix={"load_step": -1.0}).validate()
+            GenConfig(scenario="source", count=10, seed=1, transient_mix={"load_step": -1.0})
         with pytest.raises(ConfigError):
-            GenConfig(scenario="source", count=10, seed=1,
-                      transient_mix={"lightning": 1.0}).validate()
+            GenConfig(scenario="source", count=10, seed=1, transient_mix={"lightning": 1.0})
 
     def test_empty_range_rejected(self):
         with pytest.raises(ConfigError):
-            ParamRanges(loading=(1.5, 0.5)).validate()
+            ParamRanges(loading=(1.5, 0.5))
 
     def test_not_json_rejected(self):
         with pytest.raises(ConfigError):
             GenConfig.from_json("{nope")
+
+    @pytest.mark.parametrize("change", [
+        {"scenario": "moon"}, {"scenario": ["source"]}, {"count": 1}, {"count": 4.0},
+        {"count": True}, {"seed": -1}, {"seed": 2**64}, {"seed": 2.9}, {"seed": False},
+        {"ranges": {"r_p": (100.0, 600.0)}}, {"ranges": ParamRanges(r_p=(50.0, 600.0))},
+        {"ranges": ParamRanges(v_n=(0.1, 1.1))}, {"transient_mix": [("load_step", 1.0)]},
+        {"transient_mix": {"load_step": True}}, {"transient_mix": {"load_step": "1"}},
+    ], ids=["unknown_scenario", "scenario_not_str", "count_1", "count_float", "count_bool",
+            "seed_negative", "seed_2_64", "seed_float", "seed_bool", "ranges_not_ranges",
+            "r_p_below_fault_model", "v_n_past_peak", "mix_not_dict", "weight_bool",
+            "weight_str"])
+    def test_an_invalid_config_is_never_made(self, small_config, change):
+        with pytest.raises(ConfigError):
+            GenConfig(**{**small_config.__dict__, **change})
+        with pytest.raises(ConfigError):
+            dataclasses.replace(small_config, **change)
+
+    @pytest.mark.parametrize("change", [
+        {"r_p": ("150", "200")}, {"r_n": (100.0, True)}, {"jitter": (0.1,)}, {"loading": 5},
+        {"v_p": (0.3, 0.1)}, {"frequency": (-1e308, 1e308)}, {"loading": (0.0, 1.0)},
+        {"frequency": (0.0, 60.0)}, {"v_n": (0.1, 10**400)},
+    ], ids=["bounds_str", "bound_bool", "one_bound", "not_a_pair", "empty", "unbounded",
+            "loading_zero", "frequency_zero", "int_past_float"])
+    def test_invalid_ranges_are_never_made(self, change):
+        with pytest.raises(ConfigError):
+            ParamRanges(**change)
+        with pytest.raises(ConfigError):
+            dataclasses.replace(ParamRanges(), **change)
+
+    def test_range_bounds_are_kept_as_floats(self):
+        r = ParamRanges.from_dict({"r_p": [150, 200], "loading": (1, 2)})
+        assert r.r_p == (150.0, 200.0)
+        assert all(type(x) is float for pair in dataclasses.astuple(r) for x in pair)
+        text = json.dumps(GenConfig("source", 4, 1, ranges=r).to_dict())
+        loading = json.loads(text)["ranges"]["loading"]
+        assert loading == [1.0, 2.0] and type(loading[0]) is float
+
+    def test_the_config_keeps_its_own_transient_mix(self):
+        mix = {"load_step": 1.0}
+        cfg = GenConfig("source", 4, 1, transient_mix=mix)
+        mix["load_step"] = -1.0
+        assert cfg.transient_mix == {"load_step": 1.0}
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (100.0, 600.0), (0.1, 0.5), (-3.0, 7.5)])
+    def test_uniform_is_low_plus_span_times_random(self, lo, hi):
+        """The bound check's premise: Generator.uniform(lo, hi) is
+        lo + (hi - lo) * random(), whose draws lie in [0, 1 - 2**-53]."""
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        draws = a.uniform(lo, hi, size=5000)
+        assert draws.tobytes() == (lo + (hi - lo) * b.random(5000)).tobytes()
+
+    @pytest.mark.parametrize("name, bound", [("r_p", 600.0), ("r_n", 600.0), ("jitter", 0.5)])
+    def test_a_high_end_numpy_never_draws_may_pass_the_bound(self, name, bound):
+        """The high end itself is never drawn: the largest hi whose greatest
+        draw stays within the bound is valid, and the next float above it is not."""
+        lo = ParamRanges().__dict__[name][0]
+        top = 1 - 2**-53
+
+        def greatest(hi):
+            return lo + (hi - lo) * top
+
+        hi = bound
+        while greatest(math.nextafter(hi, math.inf)) <= bound:
+            hi = math.nextafter(hi, math.inf)
+        GenConfig("source", 2, 0, ranges=ParamRanges(**{name: (lo, hi)}))
+        past = ParamRanges(**{name: (lo, math.nextafter(hi, math.inf))})
+        with pytest.raises(ConfigError, match=r"must lie in \[[0-9.]+, [0-9.]+\]"):
+            GenConfig("source", 2, 0, ranges=past)
+
+
+# Each range's bounds in the fault model (v_p and v_n as fractions of the peak
+# voltage; loading has only its lower one), straddled below by _around.
+_FAULT_BOUNDS = {"r_p": (100.0, 600.0), "r_n": (100.0, 600.0), "v_p": (0.0, 1.0),
+                 "v_n": (0.0, 1.0), "jitter": (0.0, 0.5), "loading": (0.0, 2.0)}
+
+
+def _around(bound, span):
+    """Values at a bound, one float either side of it, a tenth of span either
+    side, or within a billionth of span of it."""
+    near = [math.nextafter(bound, -math.inf), bound, math.nextafter(bound, math.inf)]
+    return st.one_of(st.sampled_from(near + [bound - 0.1 * span, bound + 0.1 * span]),
+                     st.floats(bound - 1e-9 * span, bound + 1e-9 * span))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_FAULT_BOUNDS)), data=st.data())
+def test_a_config_that_is_made_draws_only_valid_parameters(name, data):
+    """Ranges that straddle a bound either fail to make a config, or every
+    window of its datasets, at several seeds and counts, has valid
+    parameters and builds."""
+    low, high = _FAULT_BOUNDS[name]
+    lo = data.draw(_around(low, high - low), label="lo")
+    hi = data.draw(_around(high, high - low), label="hi")
+    try:
+        cfg = GenConfig("target", 2, 0, ranges=ParamRanges(**{name: (lo, hi)}))
+    except ConfigError:
+        return
+    peak = TARGET.peak_voltage
+    for seed in (0, 1, 2):
+        for count in (2, 9):
+            for loading, _, p, _ in _dataset_jobs(cfg, seed, range(count)):
+                assert loading > 0
+                if isinstance(p, HifParams):
+                    p.validate(peak)
+            assert len(build_dataset(dataclasses.replace(cfg, count=count, seed=seed))) == count
 
 
 class TestSplit:
@@ -428,7 +515,6 @@ def ref_hif_window(scenario, loading, frequency, p, rng_seed):
 
 
 def ref_transient_window(scenario, loading, frequency, tp, rng_seed):
-    tp.validate()
     rng = _ref_rng(rng_seed)
     t, phase, voltage, load = _ref_base_waves(scenario, loading, frequency, rng)
     k0 = _ref_inception(scenario, frequency, tp.inception_angle)
@@ -503,7 +589,6 @@ REFERENCE_CASES = {
     # 5-10 Hz: up to 3000 samples per cycle, so most inceptions fall past the window
     "late_inception": GenConfig(scenario="target", count=40, seed=10,
                                 ranges=ParamRanges(frequency=(5.0, 10.0))),
-    "quiet": GenConfig(scenario="quiet", count=40, seed=11),
     # a cycle longer than any int64 sample count: dropouts that outlast the window
     "endless_cycle": GenConfig(scenario="source", count=6, seed=12,
                                ranges=ParamRanges(frequency=(1e-300, 1e-300)),
@@ -516,9 +601,10 @@ class TestChunkedSynthesis:
     def quiet_scenario(self, monkeypatch):
         monkeypatch.setitem(SCENARIOS, "quiet", QUIET)
 
-    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    @pytest.mark.parametrize("case", sorted([*REFERENCE_CASES, "quiet"]))
     def test_dataset_equals_per_window_reference(self, case):
-        cfg = REFERENCE_CASES[case]
+        # a config is checked as it is made: the quiet one, while its scenario is registered
+        cfg = REFERENCE_CASES.get(case) or GenConfig(scenario="quiet", count=40, seed=11)
         want = [ref_generate_window(cfg, cfg.seed, i) for i in range(cfg.count)]
         assert_same_windows(build_dataset(cfg).windows, want)
 
@@ -573,13 +659,12 @@ class TestChunkedSynthesis:
             build_dataset(cfg)
 
     def test_first_non_finite_window_past_the_first_chunk_is_named(self):
-        # two overflowing windows in the second chunk, and in the third a window
-        # whose parameters are invalid: the chunk that fails first names the error
+        # two overflowing windows in the second chunk, and another in the third:
+        # the first bad window of the chunk that fails first names the error
         p = make_params()
         jobs = [job(p, [i]) for i in range(2 * CHUNK_WINDOWS + 2)]
-        for i in (CHUNK_WINDOWS + 3, CHUNK_WINDOWS + 7):
+        for i in (CHUNK_WINDOWS + 3, CHUNK_WINDOWS + 7, 2 * CHUNK_WINDOWS + 1):
             jobs[i] = job(p, [i], loading=1e307)
-        jobs[2 * CHUNK_WINDOWS + 1] = job(make_params(r_p=50.0), [0])
         with pytest.raises(ConfigError, match=f"window {CHUNK_WINDOWS + 3}: samples must be finite"):
             _synthesize(SOURCE, jobs, len(jobs))
 

@@ -5,7 +5,8 @@
     record:  label u8 | scenario_id u8 | generation_seed u64 | samples f64[window_length]
 
 Both directions move records CHUNK_WINDOWS at a time through one structured
-array, and a read checks every record before it builds any window.
+array, and a read checks every record before it builds any window.  Every
+failed check raises DatasetFileError, with a message that names the check.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import struct
 import numpy as np
 
 from .fileio import Frame, FramedReader, write_framed
-from .waveforms import CHUNK_WINDOWS, SCENARIOS, Dataset, Label, SystemId, Window, _row_windows
+from .waveforms import (CHUNK_WINDOWS, SCENARIOS, WINDOW_LENGTH, Dataset, Label, SystemId, Window,
+                        _row_windows)
 
 MAGIC = b"HIFDATA\x01"
 FORMAT_VERSION = 1
@@ -25,27 +27,10 @@ _RECORD_HEAD = struct.Struct("<BBQ")
 
 
 class DatasetFileError(Exception):
-    """Base class for dataset file problems."""
+    """A dataset file that cannot be written or read back."""
 
 
-class DatasetVersionError(DatasetFileError):
-    """File carries an unsupported format version."""
-
-
-class DatasetChecksumError(DatasetFileError):
-    """Stored CRC32 does not match the file contents."""
-
-
-class DatasetTruncatedError(DatasetFileError):
-    """File is shorter than its header claims (or not a dataset file at all)."""
-
-
-class DatasetFieldError(DatasetFileError):
-    """A label or scenario byte names no known value, or a sample is not finite."""
-
-
-_FRAME = Frame("dataset", _HEADER, MAGIC, FORMAT_VERSION, 0,
-               (DatasetTruncatedError, DatasetVersionError, DatasetChecksumError))
+_FRAME = Frame("dataset", _HEADER, MAGIC, FORMAT_VERSION, 0, DatasetFileError)
 _SCENARIO_BY_ID = {s.system_id: s for s in SCENARIOS.values()}
 _LABELS = {int(v): v for v in Label}
 _SYSTEM_IDS = {int(v): v for v in SystemId}
@@ -71,7 +56,7 @@ def _encode(windows: list[Window], window_length: int):
 
 
 def write_dataset(d: Dataset, path) -> None:
-    window_length = len(d.windows[0].samples) if d.windows else d.scenario.window_length
+    window_length = len(d.windows[0].samples) if d.windows else WINDOW_LENGTH
     if any(len(w.samples) != window_length for w in d.windows):
         raise DatasetFileError("all windows in a file must share one length")
     if not 0 <= d.master_seed < 2**64:  # the head's u64 field
@@ -87,8 +72,8 @@ def read_dataset(path) -> Dataset:
         gen_version, count, window_length, scenario_id, master_seed = r.fields
         expected = count * (_RECORD_HEAD.size + 8 * window_length)
         if r.body_size != expected:
-            raise DatasetTruncatedError(f"{path}: {count} windows need {expected} record "
-                                        f"bytes, found {r.body_size}")
+            raise DatasetFileError(f"{path}: {count} windows need {expected} record "
+                                   f"bytes, found {r.body_size}")
         # CHUNK_WINDOWS records at a time through one buffer into the sample block
         heads = np.empty(count, [("label", "u1"), ("scenario_id", "u1"), ("seed", "<u8")])
         block = np.empty((count, window_length))
@@ -104,7 +89,7 @@ def read_dataset(path) -> Dataset:
             finite[rows] = np.isfinite(block[rows]).all(axis=1)
         r.finish()
     if scenario_id not in _SCENARIO_BY_ID:
-        raise DatasetFieldError(f"{path}: unknown scenario id {scenario_id}")
+        raise DatasetFileError(f"{path}: unknown scenario id {scenario_id}")
 
     # The first bad window names the error; within it, label and scenario before
     # samples.
@@ -114,9 +99,9 @@ def read_dataset(path) -> Dataset:
     if not good.all():
         k = int(good.argmin())
         if not known[k]:
-            raise DatasetFieldError(
+            raise DatasetFileError(
                 f"{path}: window {k}: label {labels[k]} or scenario id {scenario_ids[k]} unknown")
-        raise DatasetFieldError(f"{path}: window {k}: non-finite sample")
+        raise DatasetFileError(f"{path}: window {k}: non-finite sample")
     windows = _row_windows(block, [_LABELS[v] for v in labels.tolist()],
                            [_SYSTEM_IDS[v] for v in scenario_ids.tolist()], heads["seed"].tolist())
     return Dataset(windows, master_seed, _SCENARIO_BY_ID[scenario_id], gen_version)

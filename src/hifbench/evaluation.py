@@ -40,16 +40,6 @@ class ConfusionMatrix:
             raise ValueError("empty confusion matrix has no accuracy")
         return (self.tp + self.tn) / self.total
 
-    @property
-    def hif_recall(self) -> float:
-        actual = self.tp + self.fn
-        return self.tp / actual if actual else float("nan")
-
-    @property
-    def normal_recall(self) -> float:
-        actual = self.tn + self.fp
-        return self.tn / actual if actual else float("nan")
-
 
 @dataclass(frozen=True)
 class EvalReport:

@@ -19,14 +19,14 @@ _CRC = struct.Struct("<I")
 class Frame(NamedTuple):
     """A framed file kind: its name for messages, its head (whose first two
     fields are the magic and the version), the values those must hold, its
-    fewest body bytes, and the errors for a short or foreign file, another
-    version and a bad checksum."""
+    fewest body bytes, and the one error class its reader raises for every
+    failed check, with a message that names the check."""
     kind: str
     head: struct.Struct
     magic: bytes
     version: int
     min_body: int
-    errors: tuple[type[Exception], type[Exception], type[Exception]]
+    error: type[Exception]
 
 
 def write_atomic(path, data: str | Iterable) -> None:
@@ -75,22 +75,21 @@ class FramedReader:
 
     def __init__(self, f, path, frame: Frame):
         self._f, self._path, self._frame, self._crc = f, path, frame, 0
-        short, bad_version, _ = frame.errors
         self.body_size = os.fstat(f.fileno()).st_size - frame.head.size - _CRC.size
         if self.body_size < frame.min_body:
-            raise short(f"{path}: too short to be a {frame.kind} file")
+            raise frame.error(f"{path}: too short to be a {frame.kind} file")
         magic, version, *fields = frame.head.unpack(self.read(frame.head.size))
         if magic != frame.magic:
-            raise short(f"{path}: bad magic, not a {frame.kind} file")
+            raise frame.error(f"{path}: bad magic, not a {frame.kind} file")
         if version != frame.version:
-            raise bad_version(f"{path}: {frame.kind} version {version}, expected {frame.version}")
+            raise frame.error(f"{path}: {frame.kind} version {version}, expected {frame.version}")
         self.fields = tuple(fields)
 
     def readinto(self, buf):
         """Fill the contiguous buffer buf from the file, and return it."""
         view = memoryview(buf).cast("B")
         if self._f.readinto(view) != view.nbytes:
-            raise self._frame.errors[0](f"{self._path}: file shrank while being read")
+            raise self._frame.error(f"{self._path}: file shrank while being read")
         self._crc = zlib.crc32(view, self._crc)
         return buf
 
@@ -101,4 +100,4 @@ class FramedReader:
         """Check the footer against the CRC of everything read before it."""
         crc = self._crc
         if self.read(_CRC.size) != _CRC.pack(crc):
-            raise self._frame.errors[2](f"{self._path}: checksum mismatch")
+            raise self._frame.error(f"{self._path}: checksum mismatch")

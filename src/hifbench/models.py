@@ -61,15 +61,7 @@ class SpecError(ValueError):
 
 
 class CheckpointError(Exception):
-    """Base class for checkpoint file problems."""
-
-
-class CheckpointVersionError(CheckpointError):
-    pass
-
-
-class CheckpointCorruptError(CheckpointError):
-    pass
+    """A checkpoint file that cannot be read back; the message names the check."""
 
 
 class FingerprintMismatchError(CheckpointError):
@@ -93,7 +85,6 @@ class CnnSpec:
         ConvBlockSpec(32, 3, 2, 2),
     )
     hidden_dim: int = 64
-    output_dim: int = 1
     input_length: int = INPUT_LENGTH
 
     def __post_init__(self):
@@ -102,8 +93,6 @@ class CnnSpec:
         widths = [self.hidden_dim, *(v for blk in self.blocks for v in astuple(blk))]
         if any(not isinstance(v, int) or v < 1 for v in widths):
             raise SpecError("hidden_dim and every conv block field must be integers of at least 1")
-        if self.output_dim != 1:
-            raise SpecError("the output layer is a single sigmoid unit")
         self.feature_lengths()  # raises if the shape algebra collapses
 
     def feature_lengths(self) -> list[int]:
@@ -128,7 +117,7 @@ class CnnSpec:
                 [b.out_channels, b.kernel_size, b.pool_width, b.pool_stride] for b in self.blocks
             ],
             "hidden_dim": self.hidden_dim,
-            "output_dim": self.output_dim,
+            "output_dim": 1,  # the single sigmoid unit, kept so that fingerprints hold
             "input_length": self.input_length,
         }
 
@@ -163,12 +152,12 @@ def spec_from_dict(d: dict) -> "CnnSpec | MlpSpec":
     kind = d.get("kind")
     try:
         if kind == "cnn":
-            return CnnSpec(
-                blocks=tuple(ConvBlockSpec(*b) for b in d["blocks"]),
-                hidden_dim=int(d["hidden_dim"]),
-                output_dim=int(d.get("output_dim", 1)),
-                input_length=int(d.get("input_length", INPUT_LENGTH)),
-            )
+            blocks = tuple(ConvBlockSpec(*b) for b in d["blocks"])
+            hidden_dim, output_dim = int(d["hidden_dim"]), int(d.get("output_dim", 1))
+            spec = CnnSpec(blocks, hidden_dim, int(d.get("input_length", INPUT_LENGTH)))
+            if output_dim != 1:  # a spec file may ask for another head; CnnSpec has one
+                raise SpecError("the output layer is a single sigmoid unit")
+            return spec
         if kind == "mlp":
             return MlpSpec(
                 hidden_dims=tuple(int(h) for h in d["hidden_dims"]),
@@ -206,7 +195,7 @@ def _stages(spec) -> tuple[Stage, ...]:
             table.append(Stage(L.ConvLayer, (o, c, k), tuple(pool),
                                (c, lengths[2 * i], k, o, *lengths[2 * i + 1 : 2 * i + 3])))
             c = o
-        dense_dims = [(c * lengths[-1], spec.hidden_dim), (spec.hidden_dim, spec.output_dim)]
+        dense_dims = [(c * lengths[-1], spec.hidden_dim), (spec.hidden_dim, 1)]
     elif isinstance(spec, MlpSpec):
         table, dense_dims = [], spec.layer_dims
     else:
@@ -364,9 +353,9 @@ def _rows(buf: np.ndarray, lo: int, hi: int, *shape: int) -> np.ndarray:
         hi - lo, *shape)
 
 
-def _own(n: int, sizes: list[int], dtype=np.float64) -> list[np.ndarray]:
+def _own(n: int, sizes: list[int]) -> list[np.ndarray]:
     """One (n, size) buffer per stage."""
-    return [np.empty((n, size), dtype) for size in sizes]
+    return [np.empty((n, size)) for size in sizes]
 
 
 def _shared(n: int, sizes: list[int], k: int = 1) -> list[np.ndarray]:
@@ -610,7 +599,7 @@ class Checkpoint:
 _CKPT_HEAD = struct.Struct("<8sI32sQ")
 _META_LEN = struct.Struct("<I")
 _CKPT_FRAME = Frame("checkpoint", _CKPT_HEAD, CKPT_MAGIC, CKPT_VERSION, _META_LEN.size,
-                    (CheckpointCorruptError, CheckpointVersionError, CheckpointCorruptError))
+                    CheckpointError)
 
 
 def save_checkpoint(model: Model, metadata: dict, path) -> Checkpoint:
@@ -629,30 +618,30 @@ def load_checkpoint(path) -> Checkpoint:
         r = FramedReader(f, path, _CKPT_FRAME)
         fp, count = r.fields
         if r.body_size < 8 * count + _META_LEN.size:
-            raise CheckpointCorruptError(f"{path}: truncated parameter block")
+            raise CheckpointError(f"{path}: truncated parameter block")
         params = np.empty(count, "<f8")
         r.readinto(params)
         (meta_len,) = _META_LEN.unpack(r.read(_META_LEN.size))
         if r.body_size != 8 * count + _META_LEN.size + meta_len:
-            raise CheckpointCorruptError(f"{path}: truncated metadata block")
+            raise CheckpointError(f"{path}: truncated metadata block")
         meta_blob = r.read(meta_len)
         r.finish()
     try:
         metadata = json.loads(meta_blob.decode())
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nesting too deep
-        raise CheckpointCorruptError(f"{path}: metadata is not valid JSON") from exc
+        raise CheckpointError(f"{path}: metadata is not valid JSON") from exc
     if not isinstance(metadata, dict) or not isinstance(metadata.get("spec"), dict):
-        raise CheckpointCorruptError(f"{path}: metadata carries no spec")
+        raise CheckpointError(f"{path}: metadata carries no spec")
     ckpt = Checkpoint(fp, params, metadata)
     try:
         spec = ckpt.spec
     except (ValueError, TypeError, KeyError, ArithmeticError) as exc:
-        raise CheckpointCorruptError(f"{path}: malformed spec in metadata: {exc}") from exc
+        raise CheckpointError(f"{path}: malformed spec in metadata: {exc}") from exc
     if fingerprint(spec) != fp:
         raise FingerprintMismatchError(f"{path}: metadata spec does not match fingerprint")
     needed = _parameter_count(spec)
     if needed != count:
-        raise CheckpointCorruptError(f"{path}: spec needs {needed} parameters, file has {count}")
+        raise CheckpointError(f"{path}: spec needs {needed} parameters, file has {count}")
     return ckpt
 
 

@@ -69,15 +69,26 @@ class TrainConfig:
     early_stop: tuple[int, float] | None = None  # (patience, min_delta)
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed"):
+            if type(getattr(self, name)) is not int:  # a bool or float is refused, not truncated
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         for name in ("learning_rate", "momentum"):
             if not 0 <= getattr(self, name) < math.inf:  # NaN fails both comparisons
                 raise ValueError(f"{name} must be a finite number >= 0")
         if not (0.0 < self.validation_fraction < 1.0):
             raise ValueError("validation_fraction must lie strictly between 0 and 1")
+        stop = self.early_stop
+        if stop is not None and not (
+                isinstance(stop, tuple) and len(stop) == 2 and type(stop[0]) is int
+                and stop[0] >= 1 and isinstance(stop[1], (int, float)) and 0 <= stop[1] < math.inf):
+            raise ValueError("early_stop must be None or a pair of an integer patience >= 1 "
+                             f"and a finite min_delta >= 0, got {stop!r}")
 
 
 @dataclass

@@ -13,8 +13,10 @@ windows at a time, as rows of one array, by elementwise operations that give
 each row the bytes a per-window computation would.  Each chunk is checked
 finite once, as it is computed, and its windows are then built from its rows.
 
+Every window is WINDOW_LENGTH samples at SAMPLING_RATE_HZ, on both feeders.
 A GenConfig checks itself when made, its ranges against the fault model at the
-least and greatest values numpy draws from them, so no window is checked again.
+least and greatest values numpy draws from them, so no window is checked again;
+its transient mix is read-only, so it stays as checked.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ import functools
 import json
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -39,6 +43,11 @@ NOISE_LEVEL = 0.02
 INCEPTION_SPAN_FRACTION = 0.55
 
 CHUNK_WINDOWS = 128  # windows per vectorised pass: ~300 kB per temporary at 300 samples
+
+# A window's sample indices and sample times, shared read-only by every chunk.
+_COLS = np.arange(WINDOW_LENGTH)
+_TIMES = _COLS / SAMPLING_RATE_HZ
+_COLS.flags.writeable = _TIMES.flags.writeable = False
 
 
 class Label(enum.IntEnum):
@@ -61,13 +70,12 @@ class ConfigError(ValueError):
     """Raised for invalid generation configs or parameter sets."""
 
 
+# The two feeders share one sample grid: WINDOW_LENGTH samples at SAMPLING_RATE_HZ.
 @dataclass(frozen=True)
 class FeederScenario:
     system_id: SystemId
     peak_voltage: float
     base_load_current: float
-    sampling_rate: float = SAMPLING_RATE_HZ
-    window_length: int = WINDOW_LENGTH
     noise_level: float = NOISE_LEVEL
     # Upper bounds for the per-window load-texture draws (see _synthesize_chunk).
     harmonic_max: float = 0.05
@@ -118,7 +126,7 @@ class TransientParams:
 
 @dataclass
 class Window:
-    samples: np.ndarray  # float64, length = scenario window_length
+    samples: np.ndarray  # float64; WINDOW_LENGTH samples when generated
     label: Label
     scenario_id: SystemId
     generation_seed: int
@@ -294,7 +302,7 @@ class GenConfig:
     count: int
     seed: int
     ranges: ParamRanges = field(default_factory=ParamRanges)
-    transient_mix: dict = field(default_factory=lambda: dict(DEFAULT_TRANSIENT_MIX))
+    transient_mix: Mapping[str, float] = field(default_factory=lambda: DEFAULT_TRANSIENT_MIX)
 
     def __post_init__(self):
         if not (isinstance(self.scenario, str) and self.scenario in SCENARIOS):
@@ -309,12 +317,11 @@ class GenConfig:
             raise ConfigError("ranges must be a ParamRanges")
         # Above the Nyquist rate a half cycle is shorter than a sample; at a low
         # enough frequency the samples per cycle, and so the inception, overflow.
-        scenario = SCENARIOS[self.scenario]
-        sampling_rate, peak = scenario.sampling_rate, scenario.peak_voltage
+        peak = SCENARIOS[self.scenario].peak_voltage
         low, high = self.ranges.frequency
-        if not (high < sampling_rate / 2 and math.isfinite(sampling_rate / low)):
+        if not (high < SAMPLING_RATE_HZ / 2 and math.isfinite(SAMPLING_RATE_HZ / low)):
             raise ConfigError(f"frequency range ({low}, {high}) must lie within "
-                              f"(0, {sampling_rate / 2}) Hz with finite samples per cycle")
+                              f"(0, {SAMPLING_RATE_HZ / 2}) Hz with finite samples per cycle")
         # Generator.uniform(lo, hi) is lo + (hi - lo) * u for u in [0, 1 - 2**-53],
         # so every window's fault parameters are valid when those at both ends are.
         r = self.ranges
@@ -322,9 +329,10 @@ class GenConfig:
             v_p, v_n, r_p, r_n, jitter = (lo + (hi - lo) * u for lo, hi in
                                           (r.v_p, r.v_n, r.r_p, r.r_n, r.jitter))
             HifParams(v_p * peak, -v_n * peak, r_p, r_n, 0.0, jitter).validate(peak)
-        if not isinstance(self.transient_mix, dict):
+        if not isinstance(self.transient_mix, Mapping):
             raise ConfigError("transient_mix must be an object")
-        object.__setattr__(self, "transient_mix", dict(self.transient_mix))  # not the caller's
+        # a read-only copy, so neither the caller nor a later write changes what is checked
+        object.__setattr__(self, "transient_mix", MappingProxyType(dict(self.transient_mix)))
         weights = list(self.transient_mix.values())
         if not all(_is_number(w) and math.isfinite(w) and w >= 0 for w in weights):
             raise ConfigError("transient_mix weights must be finite nonnegative numbers")
@@ -335,7 +343,9 @@ class GenConfig:
                 raise ConfigError(f"unknown transient kind: {kind}")
 
     def to_dict(self) -> dict:
-        return asdict(self)  # the ranges as pairs, which JSON writes as [low, high]
+        # the ranges as pairs, which JSON writes as [low, high], and the mix as an object
+        return {"scenario": self.scenario, "count": self.count, "seed": self.seed,
+                "ranges": asdict(self.ranges), "transient_mix": dict(self.transient_mix)}
 
     @classmethod
     def from_dict(cls, d: dict, overrides: dict | None = None) -> "GenConfig":
@@ -408,7 +418,7 @@ def _synthesize(scenario: FeederScenario, jobs, count: int) -> list[Window]:
     the waveforms are computed CHUNK_WINDOWS windows at a time into one block,
     each chunk checked finite as it is filled; no job's parameters are checked."""
     try:
-        block = np.empty((count, scenario.window_length))
+        block = np.empty((count, WINDOW_LENGTH))
     except (MemoryError, ValueError) as exc:  # ValueError: more elements than an index holds
         raise ConfigError(f"count {count} is too large to allocate: {exc}") from None
     labels, seeds = [], []
@@ -424,22 +434,13 @@ def _synthesize(scenario: FeederScenario, jobs, count: int) -> list[Window]:
     return _row_windows(block, labels, [scenario.system_id] * count, seeds)
 
 
-@functools.lru_cache(maxsize=4)
-def _sample_axes(window_length: int, sampling_rate: float) -> tuple[np.ndarray, np.ndarray]:
-    """A window's sample indices and sample times, as shared read-only arrays."""
-    cols = np.arange(window_length)
-    t = cols / sampling_rate
-    cols.flags.writeable = t.flags.writeable = False
-    return cols, t
-
-
 def _synthesize_chunk(scenario: FeederScenario, jobs, out: np.ndarray, labels: list,
                       seeds: list) -> None:
     """Fill out's rows with the jobs' samples, in job order; append their
     labels and seeds.  Each event law (HIF, then each transient kind) runs on
     its windows' rows, picked by one index array; each window draws its arc
     jitter and then its noise from its own generator."""
-    L = scenario.window_length
+    L = WINDOW_LENGTH
     two_pi = 2 * math.pi
     rngs, rows, kinds = [], [], []
     events = [[], [], [], []]  # HIF windows' fields, then one list per TransientKind
@@ -454,7 +455,7 @@ def _synthesize_chunk(scenario: FeederScenario, jobs, out: np.ndarray, labels: l
         row += [uniform(0.0, scenario.saturation_max), uniform(0.0, scenario.am_depth_max),
                 two_pi * uniform(*_AM_FREQ_RANGE), uniform(0.0, two_pi),
                 loading * scenario.base_load_current]
-        samples_per_cycle = scenario.sampling_rate / frequency
+        samples_per_cycle = SAMPLING_RATE_HZ / frequency
         row.append(min(int(round(p.inception_angle / two_pi * samples_per_cycle)), L))
         rows.append(row)
         rngs.append(rng)
@@ -482,7 +483,7 @@ def _synthesize_chunk(scenario: FeederScenario, jobs, out: np.ndarray, labels: l
     rate, phase0 = w[0], w[1]
     beta, depth, am_rate, am_phase, load_scale = w[-6:-1]
     k0 = w[-1].astype(np.int64)
-    cols, t = _sample_axes(L, scenario.sampling_rate)
+    cols, t = _COLS, _TIMES
     started = cols >= k0
 
     # Random-phase voltage and in-phase load current.  The load current is not

@@ -354,6 +354,17 @@ class TestTrainEvalPipeline:
         assert err.startswith("error: ") and "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["s.json"]  # no checkpoint, no manifest
 
+    def test_a_cnn_spec_with_another_output_width_is_config_error(self, dataset_file, tmp_path,
+                                                                  capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**CNN_SPEC.to_dict(), "output_dim": 2}))
+        assert run_cli("train", "--data", dataset_file, "--model", spec,
+                       "--out", tmp_path / "m.ckpt", "--epochs", 1) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: cannot load model spec {str(spec)!r}: "
+                       "the output layer is a single sigmoid unit"]
+        assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
 
 class TestFlagValues:
     @pytest.fixture()

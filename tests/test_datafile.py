@@ -13,15 +13,11 @@ from hifbench.datafile import (
     FORMAT_VERSION,
     MAGIC,
     _HEADER,
-    DatasetChecksumError,
-    DatasetFieldError,
     DatasetFileError,
-    DatasetTruncatedError,
-    DatasetVersionError,
     read_dataset,
     write_dataset,
 )
-from hifbench.waveforms import SCENARIOS, Dataset, Label, SystemId, Window
+from hifbench.waveforms import SCENARIOS, WINDOW_LENGTH, Dataset, Label, SystemId, Window
 
 
 def test_roundtrip_is_lossless(small_dataset, tmp_path):
@@ -41,8 +37,7 @@ def test_write_is_deterministic(small_dataset, tmp_path):
 
 
 def test_handcrafted_dataset_roundtrip(tmp_path):
-    w = Window(np.linspace(-1.0, 1.0, SCENARIOS["target"].window_length),
-               Label.NORMAL, SystemId.TARGET, 42)
+    w = Window(np.linspace(-1.0, 1.0, WINDOW_LENGTH), Label.NORMAL, SystemId.TARGET, 42)
     d = Dataset([w], master_seed=9, scenario=SCENARIOS["target"])
     path = tmp_path / "one.dataset"
     write_dataset(d, path)
@@ -55,7 +50,7 @@ def test_bad_magic_rejected(small_dataset, tmp_path):
     blob = bytearray(path.read_bytes())
     blob[:4] = b"NOPE"
     path.write_bytes(bytes(blob))
-    with pytest.raises(DatasetTruncatedError):
+    with pytest.raises(DatasetFileError, match="bad magic, not a dataset file"):
         read_dataset(path)
 
 
@@ -65,7 +60,8 @@ def test_unsupported_version_rejected(small_dataset, tmp_path):
     blob = bytearray(path.read_bytes())
     struct.pack_into("<I", blob, len(MAGIC), FORMAT_VERSION + 1)
     path.write_bytes(bytes(blob))
-    with pytest.raises(DatasetVersionError):
+    with pytest.raises(DatasetFileError,
+                       match=f"dataset version {FORMAT_VERSION + 1}, expected {FORMAT_VERSION}"):
         read_dataset(path)
 
 
@@ -75,7 +71,7 @@ def test_corrupted_payload_fails_checksum(small_dataset, tmp_path):
     blob = bytearray(path.read_bytes())
     blob[len(blob) // 2] ^= 0xFF
     path.write_bytes(bytes(blob))
-    with pytest.raises(DatasetChecksumError):
+    with pytest.raises(DatasetFileError, match="checksum mismatch"):
         read_dataset(path)
 
 
@@ -84,21 +80,21 @@ def test_truncated_file_rejected(small_dataset, tmp_path):
     write_dataset(small_dataset, path)
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 100])
-    with pytest.raises(DatasetTruncatedError):
+    with pytest.raises(DatasetFileError, match=r"windows need \d+ record bytes, found \d+"):
         read_dataset(path)
 
 
 def test_tiny_file_rejected(tmp_path):
     path = tmp_path / "d.dataset"
     path.write_bytes(b"short")
-    with pytest.raises(DatasetTruncatedError):
+    with pytest.raises(DatasetFileError, match="too short to be a dataset file"):
         read_dataset(path)
 
 
 def test_mixed_window_lengths_rejected(tmp_path):
     sc = SCENARIOS["source"]
-    w1 = Window(np.zeros(sc.window_length), Label.HIF, SystemId.SOURCE, 1)
-    w2 = Window(np.zeros(sc.window_length - 1), Label.HIF, SystemId.SOURCE, 2)
+    w1 = Window(np.zeros(WINDOW_LENGTH), Label.HIF, SystemId.SOURCE, 1)
+    w2 = Window(np.zeros(WINDOW_LENGTH - 1), Label.HIF, SystemId.SOURCE, 2)
     d = Dataset([w1, w2], master_seed=0, scenario=sc)
     with pytest.raises(DatasetFileError):
         write_dataset(d, tmp_path / "bad.dataset")
@@ -109,7 +105,7 @@ def test_master_seed_outside_u64_is_refused(tmp_path, seed):
     """The head's u64 field cannot hold it: nothing is written, no temporary
     file is left, and the seed is not read back masked."""
     sc = SCENARIOS["source"]
-    d = Dataset([Window(np.zeros(sc.window_length), Label.HIF, SystemId.SOURCE, 1)],
+    d = Dataset([Window(np.zeros(WINDOW_LENGTH), Label.HIF, SystemId.SOURCE, 1)],
                 master_seed=seed, scenario=sc)
     with pytest.raises(DatasetFileError, match=r"master_seed must lie in \[0, 2\*\*64\)"):
         write_dataset(d, tmp_path / "x.dataset")
@@ -132,13 +128,15 @@ def test_unknown_label_or_scenario_byte_rejected(small_dataset, tmp_path, offset
     blob = bytearray(path.read_bytes())
     blob[offset] = value
     path.write_bytes(recrc(blob))
-    with pytest.raises(DatasetFieldError):
+    check = {_HEADER.size: "window 0: label 7 or", _HEADER.size + 1: "scenario id 9 unknown",
+             _HEADER.size - 9: "unknown scenario id 200"}[offset]
+    with pytest.raises(DatasetFileError, match=check):
         read_dataset(path)
 
 
 def reference_encode(d: Dataset) -> bytes:
     """The file bytes as a per-record struct.pack writer lays them out."""
-    window_length = len(d.windows[0].samples) if d.windows else d.scenario.window_length
+    window_length = len(d.windows[0].samples) if d.windows else WINDOW_LENGTH
     parts = [_HEADER.pack(MAGIC, FORMAT_VERSION, d.generator_version, len(d.windows),
                           window_length, int(d.scenario.system_id),
                           d.master_seed & 0xFFFFFFFFFFFFFFFF)]
@@ -177,7 +175,7 @@ def test_checksum_is_checked_before_fields(small_dataset, tmp_path):
     blob = bytearray(path.read_bytes())
     blob[_HEADER.size] = 7  # first window's label byte, with the stale CRC kept
     path.write_bytes(bytes(blob))
-    with pytest.raises(DatasetChecksumError):
+    with pytest.raises(DatasetFileError, match="checksum mismatch"):
         read_dataset(path)
 
 
@@ -197,7 +195,7 @@ def test_field_error_names_first_bad_window(tmp_path, bad_label, nan_sample, nam
     struct.pack_into("<d", blob, _HEADER.size + nan_sample * record + 10 + 8 * 3, float("nan"))
     path.write_bytes(recrc(blob))
     kind = "label" if named == bad_label else "non-finite"
-    with pytest.raises(DatasetFieldError, match=f"window {named}: {kind}"):
+    with pytest.raises(DatasetFileError, match=f"window {named}: {kind}"):
         read_dataset(path)
 
 
@@ -230,7 +228,7 @@ def test_any_flipped_byte_reads_or_raises_a_file_error(chunked_blob, tmp_path_fa
 def test_any_truncation_raises_a_file_error(chunked_blob, tmp_path_factory, draw):
     path = tmp_path_factory.mktemp("cut") / "d.dataset"
     path.write_bytes(chunked_blob[: draw.draw(st.integers(0, len(chunked_blob) - 1))])
-    with pytest.raises(DatasetTruncatedError):
+    with pytest.raises(DatasetFileError, match=r"too short to be a dataset file|record bytes"):
         read_dataset(path)
 
 

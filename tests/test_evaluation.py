@@ -22,8 +22,6 @@ class TestConfusionMatrix:
         m = ConfusionMatrix(tp=8, fp=1, fn=2, tn=9)
         assert m.total == 20
         assert m.accuracy == pytest.approx(17 / 20)
-        assert m.hif_recall == pytest.approx(8 / 10)
-        assert m.normal_recall == pytest.approx(9 / 10)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import ast
+import builtins
 import importlib
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -40,3 +42,25 @@ def test_every_name_perfbench_traces_resolves():
         if not callable(getattr(owner, attr, None)):
             missing.append(f"{module}.{cls}.{attr}")
     assert not missing
+
+
+def test_every_error_class_the_package_defines_maps_to_an_exit_code():
+    """cli.main turns each exception it catches around a command into an exit
+    code and one error line; a class that none of those except clauses names,
+    nor a base of it, would leave main as a traceback with exit 1."""
+    from hifbench import cli
+
+    main = next(node for node in ast.parse(Path(cli.__file__).read_text()).body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    run = next(node for node in ast.walk(main) if isinstance(node, ast.Try)
+               and "args.func(args)" in ast.unparse(ast.Module(node.body, [])))
+    names = {**vars(builtins), **vars(cli)}
+    caught = tuple(names[t.id] for h in run.handlers
+                   for t in (h.type.elts if isinstance(h.type, ast.Tuple) else [h.type]))
+    defined = [obj for info in pkgutil.iter_modules(hifbench.__path__)
+               for module in [importlib.import_module(f"hifbench.{info.name}")]
+               for obj in vars(module).values()
+               if isinstance(obj, type) and issubclass(obj, Exception)
+               and obj.__module__ == module.__name__]
+    assert defined
+    assert [cls.__qualname__ for cls in defined if not issubclass(cls, caught)] == []

@@ -18,8 +18,7 @@ from hifbench.models import (
     CKPT_MAGIC,
     CKPT_VERSION,
     CONV_CHUNK,
-    CheckpointCorruptError,
-    CheckpointVersionError,
+    CheckpointError,
     CnnSpec,
     ConvBlockSpec,
     FingerprintMismatchError,
@@ -87,6 +86,17 @@ class TestSpecs:
         assert fingerprint(CnnSpec()) != fingerprint(TINY_CNN)
         assert len(fingerprint(CnnSpec())) == 32
         assert fingerprint(CnnSpec()) == fingerprint(CnnSpec())
+
+    def test_profile_fingerprints_are_pinned(self):
+        """Every checkpoint of the profile networks carries these bytes, so a
+        change to a spec's fields or its document must leave them alone."""
+        from hifbench.profiles import MLP_SPEC
+
+        assert fingerprint(CNN_SPEC).hex() == (
+            "2a3e6bb1129a1dd1051362c8f25fcd402f51d3cae5c55025a78e3cd1b5ef26d9")
+        assert fingerprint(MLP_SPEC).hex() == (
+            "5bf98f845be4dc0c9bedde0a16739f2797755d9c9cb82471ba8c555800968fb7")
+        assert CNN_SPEC.to_dict()["output_dim"] == 1
 
 
 def _cnn_or_none(blocks, hidden_dim, input_length):
@@ -458,6 +468,21 @@ def rewrite_metadata(path, meta_blob: bytes) -> None:
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
+# metadata blocks a loader must refuse, each with the check that refuses it
+MALFORMED_METADATA = {
+    b"{not json": "metadata is not valid JSON",
+    b"\xff\xfe": "metadata is not valid JSON",
+    b"[1, 2]": "metadata carries no spec",
+    b"{}": "metadata carries no spec",
+    b'{"spec": "cnn"}': "metadata carries no spec",
+    b'{"spec": {"kind": "cnn"}}': "malformed spec in metadata",
+    b'{"spec": {"kind": "mlp", "hidden_dims": [8, "x", 4]}}': "malformed spec in metadata",
+    b'{"spec": {"kind": "cnn", "blocks": [[8, 7, 2, 0], [1, 1, 1, 1], [1, 1, 1, 1], '
+    b'[1, 1, 1, 1]], "hidden_dim": 4}}': "malformed spec in metadata",
+    b"[" * 100_000: "metadata is not valid JSON",
+}
+
+
 class TestCheckpoints:
     def test_save_load_roundtrip(self, tmp_path):
         model = build_model(TINY_CNN, 9)
@@ -493,7 +518,7 @@ class TestCheckpoints:
         blob = bytearray(path.read_bytes())
         blob[60] ^= 0x01
         path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointCorruptError):
+        with pytest.raises(CheckpointError, match="checksum mismatch"):
             load_checkpoint(path)
 
     def test_wrong_version_rejected(self, tmp_path):
@@ -504,13 +529,14 @@ class TestCheckpoints:
         struct.pack_into("<I", blob, len(CKPT_MAGIC), 99)
         body = bytes(blob[:-4])
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
-        with pytest.raises(CheckpointVersionError):
+        with pytest.raises(CheckpointError,
+                           match=f"checkpoint version 99, expected {CKPT_VERSION}"):
             load_checkpoint(path)
 
     def test_not_a_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
         path.write_bytes(b"garbage bytes here")
-        with pytest.raises(CheckpointCorruptError):
+        with pytest.raises(CheckpointError, match="too short to be a checkpoint file"):
             load_checkpoint(path)
 
     def test_tampered_fingerprint_detected(self, tmp_path):
@@ -533,18 +559,12 @@ class TestCheckpoints:
         save_checkpoint(model, {"k": 1}, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    @pytest.mark.parametrize("meta", [
-        b"{not json", b"\xff\xfe", b"[1, 2]", b"{}", b'{"spec": "cnn"}',
-        b'{"spec": {"kind": "cnn"}}', b'{"spec": {"kind": "mlp", "hidden_dims": [8, "x", 4]}}',
-        b'{"spec": {"kind": "cnn", "blocks": [[8, 7, 2, 0], [1, 1, 1, 1], [1, 1, 1, 1], '
-        b'[1, 1, 1, 1]], "hidden_dim": 4}}',
-        b"[" * 100_000,
-    ])
+    @pytest.mark.parametrize("meta", list(MALFORMED_METADATA))
     def test_malformed_metadata_is_corrupt(self, tmp_path, meta):
         path = tmp_path / "m.ckpt"
         save_checkpoint(build_model(TINY_MLP, 9), {}, path)
         rewrite_metadata(path, meta)
-        with pytest.raises(CheckpointCorruptError):
+        with pytest.raises(CheckpointError, match=MALFORMED_METADATA[meta]):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("spec", [TINY_MLP, TINY_CNN], ids=["mlp", "cnn"])
@@ -559,7 +579,7 @@ class TestCheckpoints:
     def test_any_truncation_is_corrupt(self, ckpt_blob, tmp_path_factory, draw):
         path = tmp_path_factory.mktemp("cut") / "m.ckpt"
         path.write_bytes(ckpt_blob[: draw.draw(st.integers(0, len(ckpt_blob) - 1))])
-        with pytest.raises(CheckpointCorruptError):
+        with pytest.raises(CheckpointError, match="too short to be a checkpoint file|truncated"):
             load_checkpoint(path)
 
     def test_load_holds_one_copy_of_the_file(self, tmp_path):
@@ -575,7 +595,7 @@ class TestCheckpoints:
         write_dataset(synthetic_dataset(1000), path)
 
         def refused():
-            with pytest.raises(CheckpointCorruptError, match="bad magic"):
+            with pytest.raises(CheckpointError, match="bad magic"):
                 load_checkpoint(path)
 
         _, peak = traced_peak(refused)

@@ -43,6 +43,34 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=name):
             quick_config(**{name: value})
 
+    @pytest.mark.parametrize("overrides,check", [
+        ({"epochs": 2.5}, "epochs must be an integer"),
+        ({"epochs": True}, "epochs must be an integer"),
+        ({"batch_size": 8.0}, "batch_size must be an integer"),
+        ({"seed": 1.0}, "seed must be an integer"),
+        ({"seed": -1}, "seed must be nonnegative"),
+        ({"early_stop": (3,)}, "early_stop"),
+        ({"early_stop": (3, 1e-4, 0)}, "early_stop"),
+        ({"early_stop": [3, 1e-4]}, "early_stop"),
+        ({"early_stop": (0, 1e-4)}, "early_stop"),
+        ({"early_stop": (3.0, 1e-4)}, "early_stop"),
+        ({"early_stop": (3, float("nan"))}, "early_stop"),
+        ({"early_stop": (3, float("inf"))}, "early_stop"),
+        ({"early_stop": (3, -1e-4)}, "early_stop"),
+        ({"early_stop": (3, "0")}, "early_stop"),
+    ], ids=["float_epochs", "bool_epochs", "float_batch_size", "float_seed", "negative_seed",
+            "early_stop_single", "early_stop_triple", "early_stop_list", "zero_patience",
+            "float_patience", "nan_min_delta", "inf_min_delta", "negative_min_delta",
+            "string_min_delta"])
+    def test_an_invalid_config_is_never_made(self, overrides, check):
+        """Each is refused as the config is made; else it would fail, or train
+        wrongly, only once train() runs: (3,) after a full epoch, a NaN
+        min_delta by keeping the last weights, not the best."""
+        with pytest.raises(ValueError, match=check):
+            quick_config(**overrides)
+        with pytest.raises(ValueError, match=check):
+            dataclasses.replace(quick_config(), **overrides)
+
     def test_zero_epochs_allowed(self):
         assert quick_config(epochs=0).epochs == 0
 

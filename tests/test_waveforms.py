@@ -12,8 +12,10 @@ from hifbench import profiles
 from hifbench.datafile import write_dataset
 from hifbench.waveforms import (
     CHUNK_WINDOWS,
+    DEFAULT_TRANSIENT_MIX,
     SAMPLING_RATE_HZ,
     SCENARIOS,
+    WINDOW_LENGTH,
     ConfigError,
     Dataset,
     GenConfig,
@@ -172,7 +174,7 @@ class TestSynthesis:
         w = synth(TARGET, make_params(v_p=800.0, v_n=-700.0), [5])
         assert w.label is Label.HIF
         assert w.scenario_id is SystemId.TARGET
-        assert w.samples.shape == (TARGET.window_length,)
+        assert w.samples.shape == (WINDOW_LENGTH,)
 
     def test_transient_window_label(self):
         tp = TransientParams(TransientKind.LOAD_STEP, 0.5, 1.0)
@@ -238,7 +240,7 @@ class TestGenerate:
 
     def test_to_arrays(self, small_dataset):
         x, y = small_dataset.to_arrays()
-        assert x.shape == (40, SOURCE.window_length)
+        assert x.shape == (40, WINDOW_LENGTH)
         assert set(np.unique(y)) == {0.0, 1.0}
 
 
@@ -311,6 +313,28 @@ class TestGenConfig:
         cfg = GenConfig("source", 4, 1, transient_mix=mix)
         mix["load_step"] = -1.0
         assert cfg.transient_mix == {"load_step": 1.0}
+
+    @pytest.mark.parametrize("key,weight", [("load_step", -1.0), ("lightning", 1.0)])
+    def test_a_made_config_keeps_its_transient_mix(self, key, weight):
+        """Once checked, the mix cannot be written: either write used to pass
+        every check and fail inside numpy at build time."""
+        cfg = GenConfig("target", 4, 1)
+        with pytest.raises(TypeError):
+            cfg.transient_mix[key] = weight
+        assert cfg.transient_mix == DEFAULT_TRANSIENT_MIX
+        assert len(build_dataset(cfg)) == 4
+
+    def test_to_dict_writes_the_mix_as_an_object(self):
+        cfg = GenConfig("target", 4, 1, transient_mix={"feeder_switch": 2.0, "load_step": 1})
+        doc = cfg.to_dict()
+        assert type(doc["transient_mix"]) is dict
+        assert GenConfig.from_dict(doc) == cfg
+        assert GenConfig.from_json(json.dumps(doc)) == cfg
+        assert json.dumps(doc) == (  # what a gen manifest's config holds, in this order
+            '{"scenario": "target", "count": 4, "seed": 1, "ranges": {"v_p": [0.1, 0.5], '
+            '"v_n": [0.1, 0.5], "r_p": [100.0, 600.0], "r_n": [100.0, 600.0], '
+            '"loading": [0.5, 1.35], "jitter": [0.1, 0.3], "frequency": [52.0, 68.0]}, '
+            '"transient_mix": {"feeder_switch": 2.0, "load_step": 1}}')
 
     @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (100.0, 600.0), (0.1, 0.5), (-3.0, 7.5)])
     def test_uniform_is_low_plus_span_times_random(self, lo, hi):
@@ -467,7 +491,7 @@ def _ref_add_noise(samples, level, rng):
 
 
 def _ref_base_waves(scenario, loading, frequency, rng):
-    t = np.arange(scenario.window_length) / scenario.sampling_rate
+    t = np.arange(WINDOW_LENGTH) / SAMPLING_RATE_HZ
     phase0 = rng.uniform(0.0, 2 * math.pi)
     phase = 2 * math.pi * frequency * t + phase0
     voltage = scenario.peak_voltage * np.sin(phase)
@@ -487,9 +511,8 @@ def _ref_base_waves(scenario, loading, frequency, rng):
     return t, phase, voltage, load
 
 
-def _ref_inception(scenario, frequency, angle):
-    return min(int(round(angle / (2 * math.pi) * (scenario.sampling_rate / frequency))),
-               scenario.window_length)
+def _ref_inception(frequency, angle):
+    return min(int(round(angle / (2 * math.pi) * (SAMPLING_RATE_HZ / frequency))), WINDOW_LENGTH)
 
 
 def _ref_seed(rng_seed):
@@ -500,9 +523,9 @@ def ref_hif_window(scenario, loading, frequency, p, rng_seed):
     p.validate(scenario.peak_voltage)
     rng = _ref_rng(rng_seed)
     t, phase, voltage, load = _ref_base_waves(scenario, loading, frequency, rng)
-    k0 = _ref_inception(scenario, frequency, p.inception_angle)
-    fault = np.zeros(scenario.window_length)
-    if k0 < scenario.window_length:
+    k0 = _ref_inception(frequency, p.inception_angle)
+    fault = np.zeros(WINDOW_LENGTH)
+    if k0 < WINDOW_LENGTH:
         half_ids = np.floor(phase[k0:] / math.pi).astype(np.int64)
         for hid in np.unique(half_ids):
             j_p = 1.0 + rng.uniform(-p.arc_jitter, p.arc_jitter)
@@ -517,9 +540,9 @@ def ref_hif_window(scenario, loading, frequency, p, rng_seed):
 def ref_transient_window(scenario, loading, frequency, tp, rng_seed):
     rng = _ref_rng(rng_seed)
     t, phase, voltage, load = _ref_base_waves(scenario, loading, frequency, rng)
-    k0 = _ref_inception(scenario, frequency, tp.inception_angle)
+    k0 = _ref_inception(frequency, tp.inception_angle)
     clean = load.copy()
-    if k0 < scenario.window_length:
+    if k0 < WINDOW_LENGTH:
         if tp.kind == TransientKind.LOAD_STEP:
             clean[k0:] *= 1.0 + tp.magnitude
         elif tp.kind == TransientKind.CAPACITOR_SWITCH:
@@ -528,7 +551,7 @@ def ref_transient_window(scenario, loading, frequency, tp, rng_seed):
             clean[k0:] += (amp * np.exp(-dt / tp.damping_time_constant)
                            * np.sin(2 * math.pi * tp.oscillation_frequency * dt))
         else:
-            dur = max(1, int(round(tp.magnitude * (scenario.sampling_rate / frequency))))
+            dur = max(1, int(round(tp.magnitude * (SAMPLING_RATE_HZ / frequency))))
             clean[k0 : k0 + dur] *= 0.05
     samples = _ref_add_noise(clean, scenario.noise_level, rng)
     return Window(samples, Label.NORMAL, scenario.system_id, _ref_seed(rng_seed))
@@ -625,7 +648,7 @@ class TestChunkedSynthesis:
             for _ in range(4):  # v_p, v_n, r_p, r_n
                 rng.uniform()
             angle = rng.uniform(0.0, 2 * math.pi * 0.55)
-            late += int(round(angle / (2 * math.pi) * spc)) >= TARGET.window_length
+            late += int(round(angle / (2 * math.pi) * spc)) >= WINDOW_LENGTH
         assert 0 < late < cfg.count // 2
 
     @pytest.mark.parametrize("kind", ["hif", "load_step", "capacitor_switch", "feeder_switch"])

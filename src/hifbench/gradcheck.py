@@ -10,12 +10,13 @@ numeric_gradients fills a vector laid out like Model.params, probing a whole
 weight column W[:, j] (or the bias) per stage run: unit o reads only row o
 of W, so channel o holds the bytes the single probe W[o, j] gives.  The
 probed stage k reruns through models._run_stages(model, h, k, k + 1) on its
-input from the forward's caches, stage 0 on the standardized windows.  A
-probe's stage output is the unperturbed one, base, with channel o (a
-Model.channels view) swapped in, so it differs from base at most in the
-windows where channel o moved.  Those are found bit by bit, through an int64
-view, so that a zero whose sign flipped counts as moved; every other window
-takes the logit that base's own replay gives it.
+input h = caches[k][0], from the list of stage caches that one forward_batch
+fills, stage 0 on the standardized windows.  A probe's stage output is the
+unperturbed one, base, with channel o (a Model.channels view) swapped in, so
+it differs from base at most in the windows where channel o moved.  Those
+are found bit by bit, through an int64 view, so that a zero whose sign
+flipped counts as moved; every other window takes the logit that base's own
+replay gives it.
 
 Only the moved (probe, window) pairs are replayed to the loss, gathered over
 a block of columns (about BLOCK_BYTES of stage outputs and logits) and both
@@ -60,7 +61,8 @@ def kink_margin(model: Model, x: np.ndarray) -> float:
     Small margins mean a parameter perturbation can flip an argmax or a ReLU
     sign, which invalidates finite differences at that point.
     """
-    _, caches = forward_batch(model, np.atleast_2d(x), want_cache=True)
+    caches = []
+    forward_batch(model, x, caches=caches)
     margin = np.inf
     for (_, pre, *_), stage in zip(caches[:-1], model.stages):  # the output layer has no ReLU
         margin = min(margin, float(np.abs(pre).min()))
@@ -96,8 +98,9 @@ def numeric_gradients(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     out like model.params."""
     probe = model.copy()  # contiguous arrays, so the column views below write through
     grads = Model(probe.spec, np.empty(probe.params.size))
-    stage_in = [cache[0] for cache in forward_batch(probe, x, want_cache=True)[1]]
-    for stage, (layer, d, h) in enumerate(zip(probe.layer_list, grads.layer_list, stage_in)):
+    caches = []
+    forward_batch(probe, x, caches=caches)
+    for stage, (layer, d, (h, *_)) in enumerate(zip(probe.layer_list, grads.layer_list, caches)):
         base = _run_stages(probe, h, stage, stage + 1)  # (B, O * length)
         (n_win, width), n_out = base.shape, layer.bias.size
         base_logits = run_stages(probe, base[None], stage + 1)[0, :, 0]
@@ -143,8 +146,6 @@ def numeric_gradients(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def grad_check(model: Model, x: np.ndarray, y: np.ndarray) -> float:
     """Worst relative error between analytic and central-difference gradients
     over every parameter; inf when any gradient or error is not finite."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64)
     loss, _, _, analytic = batch_loss_and_grads(model, x, y)
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss at the evaluation point")

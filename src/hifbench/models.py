@@ -7,11 +7,12 @@ A network is a list of stages, one per entry of layer_list: a conv block
 output layer).  Every pass reads the spec's stage table (_stages, cached per
 spec): each stage's layer class, weight shape and, for a conv block, pool and
 geometry.  _conv_forward and _conv_backward run a chain of conv blocks.
-run_stages runs any range of stages, from its first stage's input, and
-backward_batch back to the stage its forward pass started from; training,
-its frozen-feature store and the gradient checks all go through them.
-Features enter conv blocks T-major (a free view of channels-last
-activations) and the dense head C-major.
+run_stages runs any range of stages, from its first stage's input, filling
+a caller's list with their caches, and backward_batch, from that list, runs
+back to the stage the forward pass started from; training, its
+frozen-feature store and the gradient checks all go through them.  Features
+enter conv blocks T-major (a free view of channels-last activations), and
+are C-major from the last conv block's output on.
 
 Every layer's weights and bias are views of one vector, Model.params, so
 frozen stages own a prefix of it and trained ones the tail.  Each step's
@@ -90,9 +91,10 @@ class CnnSpec:
     def __post_init__(self):
         if len(self.blocks) != 4:
             raise SpecError("the CNN has exactly 4 conv blocks")
-        widths = [self.hidden_dim, *(v for blk in self.blocks for v in astuple(blk))]
-        if any(not isinstance(v, int) or v < 1 for v in widths):
-            raise SpecError("hidden_dim and every conv block field must be integers of at least 1")
+        widths = [self.hidden_dim, self.input_length, *(v for b in self.blocks for v in astuple(b))]
+        if any(type(v) is not int or v < 1 for v in widths):  # a bool or float is refused
+            raise SpecError("hidden_dim, input_length and every conv block field must be "
+                            "integers of at least 1")
         self.feature_lengths()  # raises if the shape algebra collapses
 
     def feature_lengths(self) -> list[int]:
@@ -128,10 +130,10 @@ class MlpSpec:
     input_length: int = INPUT_LENGTH
 
     def __post_init__(self):
-        if len(self.hidden_dims) != 3 or any(h < 1 for h in self.hidden_dims):
+        if len(self.hidden_dims) != 3:
             raise SpecError("the MLP has exactly 4 dense layers (3 hidden widths)")
-        if self.input_length < 1:
-            raise SpecError("input_length must be at least 1")
+        if any(type(v) is not int or v < 1 for v in (*self.hidden_dims, self.input_length)):
+            raise SpecError("input_length and every hidden width must be integers of at least 1")
 
     @property
     def layer_dims(self) -> list[tuple[int, int]]:
@@ -226,15 +228,11 @@ class Model:
             self.layer_list.append(cls(params[lo:hi].reshape(shape), params[hi : hi + shape[0]]))
             self.offsets.append(hi + shape[0])
 
-    def pool(self, i: int) -> tuple[int, int] | None:
-        """(width, stride) of stage i's max pool; None for a dense stage or past the last."""
-        return self.stages[i].pool if i < len(self.stages) else None
-
     def channels(self, i: int, out: np.ndarray) -> np.ndarray:
         """(..., B, O, T) view of stage i's output (..., B, features): each of
         its O output units over T positions (T = 1 for a dense stage)."""
         n_out = self.stages[i].shape[0]
-        if self.pool(i + 1) is None:  # C-major
+        if i + 1 >= self.n_conv:  # C-major from the last conv block's output on
             return out.reshape(*out.shape[:-1], n_out, -1)
         return out.reshape(*out.shape[:-1], -1, n_out).swapaxes(-1, -2)
 
@@ -406,7 +404,7 @@ def _conv_forward(model: Model, h: np.ndarray, start: int, stop: int,
                 cols=_rows(cols[j], lo, hi, t * c, k).reshape(m * t, c * k),
                 out=_rows(pre[j], lo, hi, t, o))
             relu = L.relu_forward(conv, _rows(act[j], lo, hi, t, o).transpose(0, 2, 1))
-            c_major = model.pool(i + 1) is None  # into the dense head
+            c_major = i + 1 == model.n_conv  # into the dense head
             out = _rows(outs[j], lo, hi, *((o, tp) if c_major else (tp, o)))
             L.maxpool_forward_batch(relu, *model.stages[i].pool,
                                     out=out if c_major else out.transpose(0, 2, 1),
@@ -424,11 +422,12 @@ def _conv_forward(model: Model, h: np.ndarray, start: int, stop: int,
 
 
 def _conv_backward(model: Model, grad: np.ndarray, caches: list, start: int,
-                   input_grad: bool, grads: Model) -> np.ndarray | None:
-    """d_input of stage start, or None, from grad (B, features), the gradient
-    of the last stage's output; writes the weight and bias gradients of conv
-    stages start..start+len(caches)-1 into grads' layers of those stages.
-    Overwrites each cache's pre-activation with its gradient.
+                   grads: Model) -> None:
+    """Writes the weight and bias gradients of conv stages
+    start..start+len(caches)-1 into grads' layers of those stages, from grad
+    (B, features), the gradient of the last stage's output.  Stage start's
+    input gradient, which nothing reads, is not made.  Overwrites each
+    cache's pre-activation with its gradient.
 
     Each window half routes its gradient down the chain (pool, ReLU mask,
     d_cols matmul, col2im) into its rows of buffers allocated here.  The
@@ -440,11 +439,10 @@ def _conv_backward(model: Model, grad: np.ndarray, caches: list, start: int,
     n = len(grad)
     stages = range(start, start + len(caches))
     geo = [model.stages[i].geo for i in stages]
-    wants = [i > start or input_grad for i in stages]  # whose input gradient to make
     # each stage's pool gradient, then, once the ReLU mask has moved it into
-    # the cache, the stage's d_cols
-    work = _shared(n, [t * max(o, c * k * w) for (c, _, k, o, t, _), w in zip(geo, wants)])[0]
-    d_in = [np.empty((n, length * c)) if w else None for (c, length, *_), w in zip(geo, wants)]
+    # the cache, the d_cols of each stage above start
+    work = _shared(n, [t * max(o, c * k * (j > 0)) for j, (c, _, k, o, t, _) in enumerate(geo)])[0]
+    d_in = [None] + [np.empty((n, length * c)) for c, length, *_ in geo[1:]]
 
     def chain(lo, hi):
         g, m = grad[lo:hi], hi - lo
@@ -455,8 +453,8 @@ def _conv_backward(model: Model, grad: np.ndarray, caches: list, start: int,
                 model.channels(i, g), offset[lo:hi], t, *model.stages[i].pool,
                 out=_rows(work, lo, hi, t, o).transpose(0, 2, 1))
             d_pre = L.relu_backward(d_pre, pre[lo:hi], pre[lo:hi])
-            if not wants[j]:
-                break  # stage start, whose input gradient nothing reads
+            if j == 0:
+                break  # stage start
             L.conv_backward_batch(d_pre, None, model.layer_list[i], (m, c, length), True,
                                   d_cols=_rows(work, lo, hi, t * c, k).reshape(m * t, c * k),
                                   out=_rows(d_in[j], lo, hi, length, c))
@@ -474,7 +472,6 @@ def _conv_backward(model: Model, grad: np.ndarray, caches: list, start: int,
         reduce(range(len(stages)))
     else:
         _both(lambda: reduce(range(0, len(stages), 2)), lambda: reduce(range(1, len(stages), 2)))
-    return d_in[0]
 
 
 def run_stages(model: Model, h: np.ndarray, start: int = 0, stop: int | None = None,
@@ -523,19 +520,16 @@ def _run_stages(model: Model, h: np.ndarray, start: int, stop: int, caches: list
     return h
 
 
-def forward_batch(model: Model, x: np.ndarray, want_cache: bool = False, start: int = 0):
+def forward_batch(model: Model, x: np.ndarray, start: int = 0, caches: list | None = None):
     """Probabilities for a (B, input_length) batch of raw windows, or, with
-    start=k, for x holding stage k's input.
-
-    With want_cache=True also returns the list of stage caches, stages
-    start..end, that backward_batch needs.
+    start=k, for x holding stage k's input.  With a list caches, appends the
+    caches of stages start..end to it, as run_stages does: the list that
+    backward_batch takes.
     """
-    caches = [] if want_cache else None
-    logits = run_stages(model, x, start, caches=caches)
-    probs = L.sigmoid(logits[..., 0])
+    probs = L.sigmoid(run_stages(model, x, start, caches=caches)[..., 0])
     if not np.all(np.isfinite(probs)):
         raise FloatingPointError("non-finite activation in forward pass")
-    return (probs, caches) if want_cache else probs
+    return probs
 
 
 def forward(model: Model, window: np.ndarray) -> float:
@@ -564,14 +558,15 @@ def backward_batch(model: Model, caches: list, probs: np.ndarray, y: np.ndarray)
         d_w, d_b = grads.layer_list[i].weights, grads.layer_list[i].bias
         grad = L.dense_backward_batch(grad, h, model.layer_list[i], i > start, d_w=d_w, d_b=d_b)[2]
     if dense > start:
-        _conv_backward(model, grad, caches[: dense - start], start, False, grads)
+        _conv_backward(model, grad, caches[: dense - start], start, grads)
     return grads
 
 
 def batch_loss_and_grads(model: Model, x: np.ndarray, y: np.ndarray, start: int = 0):
     """(loss, grads, probs, vector) of one step on x, the input of stage start:
     vector is backward_batch's Model's params, grads its layers' views, None below start."""
-    probs, caches = forward_batch(model, x, want_cache=True, start=start)
+    caches = []
+    probs = forward_batch(model, x, start, caches)
     loss = L.bce_loss(probs, y)
     grads = backward_batch(model, caches, probs, y)
     views = [(l.weights, l.bias) for l in grads.layer_list[start:]]

@@ -42,7 +42,7 @@ from .models import (
     restore_for_transfer,
     run_stages,
 )
-from .waveforms import Dataset, split
+from .waveforms import Dataset, _is_number, split
 
 CONVERGENCE_BAND = 0.05
 CONVERGENCE_TAIL_FRACTION = 0.10
@@ -78,15 +78,15 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        for name in ("learning_rate", "momentum"):
-            if not 0 <= getattr(self, name) < math.inf:  # NaN fails both comparisons
+        for name in ("learning_rate", "momentum"):  # NaN fails both comparisons
+            if not (_is_number(getattr(self, name)) and 0 <= getattr(self, name) < math.inf):
                 raise ValueError(f"{name} must be a finite number >= 0")
-        if not (0.0 < self.validation_fraction < 1.0):
+        if not (_is_number(self.validation_fraction) and 0.0 < self.validation_fraction < 1.0):
             raise ValueError("validation_fraction must lie strictly between 0 and 1")
         stop = self.early_stop
         if stop is not None and not (
                 isinstance(stop, tuple) and len(stop) == 2 and type(stop[0]) is int
-                and stop[0] >= 1 and isinstance(stop[1], (int, float)) and 0 <= stop[1] < math.inf):
+                and stop[0] >= 1 and _is_number(stop[1]) and 0 <= stop[1] < math.inf):
             raise ValueError("early_stop must be None or a pair of an integer patience >= 1 "
                              f"and a finite min_delta >= 0, got {stop!r}")
 

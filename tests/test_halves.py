@@ -29,7 +29,7 @@ def serial_forward(model, x):
     h, caches = standardize(x), []
     last = len(model.layer_list) - 1
     for i, layer in enumerate(model.layer_list):
-        pool = model.pool(i)
+        pool = model.stages[i].pool
         if pool is None:
             pre = L.dense_forward_batch(h, layer)
             caches.append((h, pre))
@@ -39,7 +39,9 @@ def serial_forward(model, x):
                 h.reshape(len(h), -1, layer.in_channels).transpose(0, 2, 1), layer)
             out, offset = L.maxpool_forward_batch(L.relu_forward(pre), *pool)
             caches.append((h, pre, cols, offset))
-            out = (out if model.pool(i + 1) is None else out.transpose(0, 2, 1)).reshape(len(h), -1)
+            if model.stages[i + 1].pool is not None:  # T-major into the next conv block
+                out = out.transpose(0, 2, 1)
+            out = out.reshape(len(h), -1)
         h = out
     return h, caches
 
@@ -52,14 +54,14 @@ def serial_step(model, x, y):
     grads = [None] * len(model.layer_list)
     for i in reversed(range(len(model.layer_list))):
         layer, (h, pre, *rest) = model.layer_list[i], caches[i]
-        if model.pool(i) is None:
+        if model.stages[i].pool is None:
             if i < len(model.layer_list) - 1:
                 grad = L.relu_backward(grad, pre)
             d_w, d_b, grad = L.dense_backward_batch(grad, h, layer, i > 0)
         else:
             cols, offset = rest
             d_pre = L.relu_backward(L.maxpool_backward_batch(
-                model.channels(i, grad), offset, pre.shape[2], *model.pool(i)), pre)
+                model.channels(i, grad), offset, pre.shape[2], *model.stages[i].pool), pre)
             shape = (len(h), layer.in_channels, h.shape[-1] // layer.in_channels)
             d_w, d_b, d_x = L.conv_backward_batch(d_pre, cols, layer, shape, i > 0)
             grad = None if d_x is None else d_x.transpose(0, 2, 1).reshape(h.shape)
@@ -111,8 +113,10 @@ class TestBytes:
         x = np.random.default_rng(n).normal(size=(n, CNN_SPEC.input_length))
         logits, caches = serial_forward(model, x)
         assert forward_batch(model, x).tobytes() == L.sigmoid(logits[:, 0]).tobytes()
-        probs, got = forward_batch(model, x, want_cache=True)
+        got = []
+        probs = forward_batch(model, x, caches=got)
         assert probs.tobytes() == L.sigmoid(logits[:, 0]).tobytes()
+        assert len(got) == len(caches)
         for cache, want in zip(got, caches):
             assert [a.tobytes() for a in cache] == [a.tobytes() for a in want]
 

@@ -73,6 +73,27 @@ class TestSpecs:
         with pytest.raises(SpecError):
             CnnSpec(blocks=(ConvBlockSpec(8, 7, 2, 2),) * 4, input_length=20)
 
+    @pytest.mark.parametrize("make", [
+        lambda: CnnSpec(hidden_dim=True),
+        lambda: CnnSpec(input_length=300.0),
+        lambda: MlpSpec(hidden_dims=(8.5, 8, 4)),
+        lambda: MlpSpec(hidden_dims=(True, 8, 4)),
+        lambda: MlpSpec(hidden_dims=("8", 8, 4)),
+        lambda: MlpSpec(input_length=30.5),
+    ], ids=["cnn_bool_hidden_dim", "cnn_float_input_length", "mlp_float_width",
+            "mlp_bool_width", "mlp_str_width", "mlp_float_input_length"])
+    def test_a_width_that_is_not_an_int_is_refused(self, make):
+        """Else the spec is made, and build_model fails with numpy's TypeError;
+        a bool hidden_dim also fingerprints apart from its own round trip."""
+        with pytest.raises(SpecError, match="must be integers of at least 1"):
+            make()
+
+    def test_spec_files_keep_their_int_conversion(self):
+        assert spec_from_dict({"kind": "mlp", "hidden_dims": [8.0, True, "4"],
+                               "input_length": 20.0}) == MlpSpec((8, 1, 4), 20)
+        doc = {**TINY_CNN.to_dict(), "hidden_dim": 8.0, "input_length": "60"}
+        assert spec_from_dict(doc) == TINY_CNN
+
     def test_spec_dict_roundtrip(self):
         for spec in (CnnSpec(), MlpSpec(), TINY_CNN, TINY_MLP):
             assert spec_from_dict(spec.to_dict()) == spec
@@ -136,7 +157,6 @@ class TestStageTable:
             geometry = (in_channels, lengths[2 * i], k, o, lengths[2 * i + 1], lengths[2 * i + 2])
             assert table[i] == (L.ConvLayer, (o, in_channels, k),
                                 (blk.pool_width, blk.pool_stride), geometry)
-            assert model.pool(i) == table[i].pool
             in_channels = o
         dense = table[len(blocks):]
         if blocks:
@@ -145,8 +165,6 @@ class TestStageTable:
             assert [s.shape[::-1] for s in dense] == spec.layer_dims
         for i, stage in enumerate(dense, len(blocks)):
             assert stage.layer is L.DenseLayer and stage.pool is stage.geo is None
-            assert model.pool(i) is None
-        assert model.pool(len(table)) is None and model.pool(len(table) + 1) is None
         assert dense[-1].shape[0] == 1  # the sigmoid unit
         sizes = [math.prod(s.shape) + s.shape[0] for s in table]
         assert model.offsets == [0, *itertools.accumulate(sizes)]
@@ -155,6 +173,13 @@ class TestStageTable:
             assert type(layer) is stage.layer and layer.weights.shape == stage.shape
             assert layer.bias.shape == stage.shape[:1]
         assert models._stages(spec_from_dict(spec.to_dict())) == table
+        # stage outputs are T-major below the last conv block and C-major from its output on
+        for i, stage in enumerate(table):
+            n_out, t = stage.shape[0], stage.geo[-1] if stage.geo else 1
+            out = np.arange(2 * n_out * t).reshape(2, -1)
+            c_major = i >= len(blocks) - 1
+            want = out.reshape(2, n_out, t) if c_major else out.reshape(2, t, n_out).swapaxes(1, 2)
+            assert np.array_equal(model.channels(i, out), want)
         with pytest.raises(ValueError, match=f"^parameter vector has {sum(sizes) - 1} entries, "
                                              f"spec needs {sum(sizes)}$"):
             Model(spec, model.params[:-1])
@@ -188,6 +213,23 @@ class TestBuildAndForward:
         batch = forward_batch(model, x)
         for i in range(3):
             assert forward(model, x[i]) == pytest.approx(batch[i], rel=1e-12)
+
+    @pytest.mark.parametrize("spec", [TINY_CNN, TINY_MLP, CNN_SPEC],
+                             ids=["tiny_cnn", "tiny_mlp", "cnn"])
+    @pytest.mark.parametrize("n", [1, 2, 2 * models.HALF_WINDOWS + 1, 2 * CONV_CHUNK + 1])
+    def test_a_caches_list_leaves_the_probabilities_alone(self, spec, n):
+        """forward_batch(model, x), the inference call, and the same call
+        filling a caches list for backward return the same bytes; the list
+        gets one cache per stage from start on."""
+        model = build_model(spec, 6)
+        x = np.random.default_rng(n).normal(size=(n, spec.input_length))
+        caches = []
+        assert forward_batch(model, x, caches=caches).tobytes() == forward_batch(model, x).tobytes()
+        assert len(caches) == len(model.layer_list)
+        stored, caches = run_stages(model, x, stop=2), []
+        assert (forward_batch(model, stored, 2, caches).tobytes()
+                == forward_batch(model, stored, start=2).tobytes())
+        assert len(caches) == len(model.layer_list) - 2
 
     def test_wrong_window_length_rejected(self):
         model = build_model(TINY_MLP, 1)
@@ -338,18 +380,11 @@ def contiguous_conv_forward(x, layer):
     return out.reshape(b, out_len, layer.out_channels).transpose(0, 2, 1), cols
 
 
-def contiguous_conv_backward(grad_out, cols, layer, input_shape):
+def contiguous_conv_backward(grad_out, cols, layer):
+    """(d_weights, d_bias) of the conv on (B, C, L)-contiguous activations."""
     b, _, out_len = grad_out.shape
     g_mat = np.ascontiguousarray(grad_out.transpose(0, 2, 1)).reshape(b * out_len, -1)
-    d_w = (g_mat.T @ cols).reshape(layer.weights.shape)
-    d_b = g_mat.sum(axis=0)
-    d_cols = (g_mat @ layer.weights.reshape(layer.out_channels, -1)).reshape(
-        b, out_len, layer.in_channels, layer.kernel_size
-    )
-    d_x = np.zeros(input_shape)
-    for i in range(layer.kernel_size):
-        d_x[:, :, i : i + out_len] += d_cols[:, :, :, i].transpose(0, 2, 1)
-    return d_w, d_b, d_x
+    return (g_mat.T @ cols).reshape(layer.weights.shape), g_mat.sum(axis=0)
 
 
 def contiguous_maxpool(x, width, stride):
@@ -385,13 +420,12 @@ class TestChannelsLastLayout:
             assert out.tobytes() == flat(want, t_major).tobytes()
             g = rng.normal(size=want.shape)
             grads = Model(spec, np.empty(model.params.size))
-            d_h = models._conv_backward(model, flat(g, t_major), caches, i, True, grads)
+            models._conv_backward(model, flat(g, t_major), caches, i, grads)
             d_w, d_b = grads.layer_list[i].weights, grads.layer_list[i].bias
             d_pre = add_at_maxpool_backward(g, argmax, pre.shape[2]) * (pre > 0)
-            r_w, r_b, r_x = contiguous_conv_backward(d_pre, cols, layer, x.shape)
+            r_w, r_b = contiguous_conv_backward(d_pre, cols, layer)
             assert d_w.tobytes() == r_w.tobytes()
             assert d_b.tobytes() == r_b.tobytes()
-            assert d_h.tobytes() == flat(r_x, True).tobytes()
             h, x = out, want
 
 
@@ -442,18 +476,24 @@ class TestKernelCalls:
         (TINY_CNN, 0, dict(conv_forward_batch=4, maxpool_forward_batch=4, relu_forward=5,
                            dense_forward_batch=2, dense_backward_batch=2, relu_backward=5,
                            maxpool_backward_batch=4, conv_backward_batch=7)),
+        (TINY_CNN, 2, dict(conv_forward_batch=2, maxpool_forward_batch=2, relu_forward=3,
+                           dense_forward_batch=2, dense_backward_batch=2, relu_backward=3,
+                           maxpool_backward_batch=2, conv_backward_batch=3)),
         (TINY_CNN, 4, dict(relu_forward=1, dense_forward_batch=2, dense_backward_batch=2,
                            relu_backward=1)),
         (TINY_MLP, 0, dict(relu_forward=3, dense_forward_batch=4, dense_backward_batch=4,
                            relu_backward=3)),
         (TINY_MLP, 2, dict(relu_forward=1, dense_forward_batch=2, dense_backward_batch=2,
                            relu_backward=1)),
-    ], ids=["cnn", "cnn_frozen_conv", "mlp", "mlp_from_stage_2"])
+    ], ids=["cnn", "cnn_from_stage_2", "cnn_frozen_conv", "mlp", "mlp_from_stage_2"])
     def test_one_step_calls_each_kernel_as_often_as_its_stages(self, spy, spec, start, want):
         model, h, y = stored_features(spec, start)
         calls = {name: spy(L, name) for name in KERNELS}
         batch_loss_and_grads(model, h, y, start)
         assert {name: len(c) for name, c in calls.items() if c} == want
+        # no call makes the input gradient of stage start, which nothing reads
+        first = model.layer_list[start]
+        assert all(c.result[2] is None for c in calls["conv_backward_batch"] if c.args[2] is first)
         # perfbench reads the shapes from positional arguments; buffers come by keyword
         for name, n_args in POSITIONAL_SHAPES.items():
             assert all(len(c.args) >= n_args for c in calls[name]), name

@@ -49,6 +49,10 @@ class TestTrainConfig:
         ({"batch_size": 8.0}, "batch_size must be an integer"),
         ({"seed": 1.0}, "seed must be an integer"),
         ({"seed": -1}, "seed must be nonnegative"),
+        ({"learning_rate": "0.1"}, "learning_rate must be a finite number"),
+        ({"learning_rate": None}, "learning_rate must be a finite number"),
+        ({"momentum": True}, "momentum must be a finite number"),
+        ({"validation_fraction": "0.5"}, "validation_fraction must lie"),
         ({"early_stop": (3,)}, "early_stop"),
         ({"early_stop": (3, 1e-4, 0)}, "early_stop"),
         ({"early_stop": [3, 1e-4]}, "early_stop"),
@@ -58,10 +62,12 @@ class TestTrainConfig:
         ({"early_stop": (3, float("inf"))}, "early_stop"),
         ({"early_stop": (3, -1e-4)}, "early_stop"),
         ({"early_stop": (3, "0")}, "early_stop"),
+        ({"early_stop": (3, True)}, "early_stop"),
     ], ids=["float_epochs", "bool_epochs", "float_batch_size", "float_seed", "negative_seed",
+            "str_learning_rate", "none_learning_rate", "bool_momentum", "str_validation_fraction",
             "early_stop_single", "early_stop_triple", "early_stop_list", "zero_patience",
             "float_patience", "nan_min_delta", "inf_min_delta", "negative_min_delta",
-            "string_min_delta"])
+            "string_min_delta", "bool_min_delta"])
     def test_an_invalid_config_is_never_made(self, overrides, check):
         """Each is refused as the config is made; else it would fail, or train
         wrongly, only once train() runs: (3,) after a full epoch, a NaN

@@ -13,22 +13,17 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, profiles
 from .datafile import DatasetFileError, read_dataset, write_dataset
-from .evaluation import evaluate, render_report, reports_to_csv
+from .evaluation import DEFAULT_THRESHOLD, evaluate, render_report, reports_to_csv
 from .fileio import write_atomic
 from .gradcheck import find_check_point, grad_check
 from .layers import ShapeError
 from .models import (
     CheckpointError,
-    CnnSpec,
     FingerprintMismatchError,
-    MlpSpec,
     SpecError,
     build_model,
-    fingerprint,
     load_checkpoint,
     restore_for_transfer,
     save_checkpoint,
@@ -201,8 +196,7 @@ def _save_run(args, run, dataset, config, metadata: dict, snapshot: dict, seeds:
 def cmd_train(args) -> int:
     dataset = read_dataset(args.data)
     spec = _model_spec(args.model)
-    base = profiles.CASE1_CNN_TRAIN if isinstance(spec, CnnSpec) else profiles.CASE1_MLP_TRAIN
-    config = _train_config(args, base)
+    config = _train_config(args, profiles.CASE1_TRAIN)
     train_set, _ = split(dataset, args.train_fraction, args.split_seed)
     run = train(build_model(spec, args.init_seed), train_set, config)
     out = _save_run(args, run, dataset, config, {"init_seed": args.init_seed},
@@ -287,7 +281,7 @@ def cmd_replicate(args) -> int:
                  [*train_argv, "--model", "cnn", "--out", outdir / "cnn.ckpt"],
                  [*train_argv, "--model", "mlp", "--out", outdir / "mlp.ckpt"],
                  ["eval", "--ckpt", outdir / "cnn.ckpt", outdir / "mlp.ckpt", "--data", data,
-                  "--holdout", *split, "--threshold", 0.5, "--out", outdir / "case1_report.csv"]]
+                  "--holdout", *split, "--out", outdir / "case1_report.csv"]]
     elif not args.source_ckpt:
         raise CliError("replicate case2 needs --source-ckpt (the trained case1 CNN)", EXIT_USAGE)
     else:
@@ -300,8 +294,7 @@ def cmd_replicate(args) -> int:
                  [*finetune_argv, "--out", outdir / "transfer.ckpt"],
                  [*finetune_argv, "--scratch", "--out", outdir / "scratch.ckpt"],
                  ["eval", "--ckpt", outdir / "scratch.ckpt", outdir / "transfer.ckpt", "--data",
-                  data, "--holdout", *split, "--threshold", 0.5,
-                  "--out", outdir / "case2_report.csv"]]
+                  data, "--holdout", *split, "--out", outdir / "case2_report.csv"]]
     subs = [build_parser().parse_args([str(a) for a in argv]) for argv in steps]
     # outdir may be new if mkdir can make it: its nearest existing ancestor is a directory
     ancestor = next((p for p in (outdir, *outdir.parents) if os.path.lexists(p)), outdir)
@@ -346,22 +339,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model on the train side of a dataset split")
     p.add_argument("--model", default="cnn", help="cnn, mlp, or a spec JSON path")
-    _add_shared_flags(p, train_fraction=0.8, init_seed=1)
+    _add_shared_flags(p, train_fraction=profiles.CASE1_TRAIN_FRACTION, init_seed=1)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("finetune", help="fine-tune from a checkpoint (or retrain from scratch)")
     p.add_argument("--ckpt", required=True, help="source checkpoint")
     p.add_argument("--scratch", action="store_true",
                    help="ignore checkpoint weights, random initialization")
-    _add_shared_flags(p, train_fraction=0.5, init_seed=2)
+    _add_shared_flags(p, train_fraction=profiles.CASE2_TRAIN_FRACTION, init_seed=2)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("eval", help="evaluate checkpoints on a dataset (or its holdout split)")
     p.add_argument("--ckpt", nargs="+", required=True)
     p.add_argument("--holdout", action="store_true", help="evaluate the test side of the split")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p.add_argument("--out")
-    _add_shared_flags(p, train_fraction=0.8)
+    _add_shared_flags(p, train_fraction=profiles.CASE1_TRAIN_FRACTION)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all analytic gradients")

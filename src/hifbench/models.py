@@ -1,6 +1,7 @@
 """Model assembly: the fixed 4-block CNN and 4-layer MLP, initialization,
 forward and backward passes, and versioned checkpoints carrying an
-architecture fingerprint (the transfer-learning handoff unit).
+architecture fingerprint and the spec checked against it once, on load
+(the transfer-learning handoff unit).
 
 A network is a list of stages, one per entry of layer_list: a conv block
 (conv -> ReLU -> max pool) or a dense layer (with a ReLU unless it is the
@@ -12,7 +13,8 @@ a caller's list with their caches, and backward_batch, from that list, runs
 back to the stage the forward pass started from; training, its
 frozen-feature store and the gradient checks all go through them.  Features
 enter conv blocks T-major (a free view of channels-last activations), and
-are C-major from the last conv block's output on.
+are C-major from the last conv block's output on: the one layout rule,
+Model.channels, which every pass reads.
 
 Every layer's weights and bias are views of one vector, Model.params, so
 frozen stages own a prefix of it and trained ones the tail.  Each step's
@@ -40,15 +42,15 @@ import os
 import queue
 import struct
 import threading
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import layers as L
 from .fileio import Frame, FramedReader, write_framed
+from .waveforms import WINDOW_LENGTH
 
-INPUT_LENGTH = 300
 STD_FLOOR = 1e-8
 CONV_CHUNK = 64  # windows per conv pass of a forward that keeps no caches
 HALF_WINDOWS = 10  # windows per half below which one part is as fast as two halves
@@ -86,11 +88,12 @@ class CnnSpec:
         ConvBlockSpec(32, 3, 2, 2),
     )
     hidden_dim: int = 64
-    input_length: int = INPUT_LENGTH
+    input_length: int = WINDOW_LENGTH
 
     def __post_init__(self):
-        if len(self.blocks) != 4:
-            raise SpecError("the CNN has exactly 4 conv blocks")
+        if (type(self.blocks) is not tuple or len(self.blocks) != 4  # a list is unhashable
+                or any(type(b) is not ConvBlockSpec for b in self.blocks)):
+            raise SpecError("the CNN has exactly 4 conv blocks, a tuple of ConvBlockSpec")
         widths = [self.hidden_dim, self.input_length, *(v for b in self.blocks for v in astuple(b))]
         if any(type(v) is not int or v < 1 for v in widths):  # a bool or float is refused
             raise SpecError("hidden_dim, input_length and every conv block field must be "
@@ -127,18 +130,13 @@ class CnnSpec:
 @dataclass(frozen=True)
 class MlpSpec:
     hidden_dims: tuple[int, int, int] = (128, 64, 32)
-    input_length: int = INPUT_LENGTH
+    input_length: int = WINDOW_LENGTH
 
     def __post_init__(self):
-        if len(self.hidden_dims) != 3:
-            raise SpecError("the MLP has exactly 4 dense layers (3 hidden widths)")
+        if type(self.hidden_dims) is not tuple or len(self.hidden_dims) != 3:  # list: unhashable
+            raise SpecError("the MLP has exactly 4 dense layers (a tuple of 3 hidden widths)")
         if any(type(v) is not int or v < 1 for v in (*self.hidden_dims, self.input_length)):
             raise SpecError("input_length and every hidden width must be integers of at least 1")
-
-    @property
-    def layer_dims(self) -> list[tuple[int, int]]:
-        dims = [self.input_length, *self.hidden_dims, 1]
-        return list(zip(dims[:-1], dims[1:]))
 
     def to_dict(self) -> dict:
         return {
@@ -156,14 +154,14 @@ def spec_from_dict(d: dict) -> "CnnSpec | MlpSpec":
         if kind == "cnn":
             blocks = tuple(ConvBlockSpec(*b) for b in d["blocks"])
             hidden_dim, output_dim = int(d["hidden_dim"]), int(d.get("output_dim", 1))
-            spec = CnnSpec(blocks, hidden_dim, int(d.get("input_length", INPUT_LENGTH)))
+            spec = CnnSpec(blocks, hidden_dim, int(d.get("input_length", WINDOW_LENGTH)))
             if output_dim != 1:  # a spec file may ask for another head; CnnSpec has one
                 raise SpecError("the output layer is a single sigmoid unit")
             return spec
         if kind == "mlp":
             return MlpSpec(
                 hidden_dims=tuple(int(h) for h in d["hidden_dims"]),
-                input_length=int(d.get("input_length", INPUT_LENGTH)),
+                input_length=int(d.get("input_length", WINDOW_LENGTH)),
             )
     except SpecError:
         raise
@@ -199,7 +197,8 @@ def _stages(spec) -> tuple[Stage, ...]:
             c = o
         dense_dims = [(c * lengths[-1], spec.hidden_dim), (spec.hidden_dim, 1)]
     elif isinstance(spec, MlpSpec):
-        table, dense_dims = [], spec.layer_dims
+        dims = [spec.input_length, *spec.hidden_dims, 1]
+        table, dense_dims = [], zip(dims, dims[1:])
     else:
         raise SpecError(f"unknown spec type: {type(spec).__name__}")
     return (*table, *(Stage(L.DenseLayer, (out_dim, in_dim)) for in_dim, out_dim in dense_dims))
@@ -404,12 +403,9 @@ def _conv_forward(model: Model, h: np.ndarray, start: int, stop: int,
                 cols=_rows(cols[j], lo, hi, t * c, k).reshape(m * t, c * k),
                 out=_rows(pre[j], lo, hi, t, o))
             relu = L.relu_forward(conv, _rows(act[j], lo, hi, t, o).transpose(0, 2, 1))
-            c_major = i + 1 == model.n_conv  # into the dense head
-            out = _rows(outs[j], lo, hi, *((o, tp) if c_major else (tp, o)))
-            L.maxpool_forward_batch(relu, *model.stages[i].pool,
-                                    out=out if c_major else out.transpose(0, 2, 1),
+            y = _rows(outs[j], lo, hi, o * tp)
+            L.maxpool_forward_batch(relu, *model.stages[i].pool, out=model.channels(i, y),
                                     offset=_rows(offsets[j], lo, hi, tp, o).transpose(0, 2, 1))
-            y = out.reshape(m, -1)
 
     _in_halves(n, chain, split=h.ndim == 2)
     if keep:
@@ -580,13 +576,11 @@ def batch_loss_and_grads(model: Model, x: np.ndarray, y: np.ndarray, start: int 
 
 @dataclass
 class Checkpoint:
+    """A checkpoint's contents, with its spec parsed from metadata["spec"]."""
     fingerprint: bytes
     params: np.ndarray
-    metadata: dict = field(default_factory=dict)
-
-    @property
-    def spec(self):
-        return spec_from_dict(self.metadata["spec"])
+    metadata: dict
+    spec: "CnnSpec | MlpSpec"
 
 
 # Inside the fileio frame: a head of fingerprint 32s | count u64, and a body of
@@ -605,7 +599,7 @@ def save_checkpoint(model: Model, metadata: dict, path) -> Checkpoint:
     write_framed(path, _CKPT_FRAME, (fp, params.size),
                  [np.ascontiguousarray(params, dtype="<f8"),
                   _META_LEN.pack(len(meta_blob)) + meta_blob])
-    return Checkpoint(fp, params, meta)
+    return Checkpoint(fp, params, meta, model.spec)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -627,9 +621,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: metadata is not valid JSON") from exc
     if not isinstance(metadata, dict) or not isinstance(metadata.get("spec"), dict):
         raise CheckpointError(f"{path}: metadata carries no spec")
-    ckpt = Checkpoint(fp, params, metadata)
     try:
-        spec = ckpt.spec
+        spec = spec_from_dict(metadata["spec"])
     except (ValueError, TypeError, KeyError, ArithmeticError) as exc:
         raise CheckpointError(f"{path}: malformed spec in metadata: {exc}") from exc
     if fingerprint(spec) != fp:
@@ -637,7 +630,7 @@ def load_checkpoint(path) -> Checkpoint:
     needed = _parameter_count(spec)
     if needed != count:
         raise CheckpointError(f"{path}: spec needs {needed} parameters, file has {count}")
-    return ckpt
+    return Checkpoint(fp, params, metadata, spec)
 
 
 def restore_for_transfer(ckpt: Checkpoint, target_spec) -> Model:

@@ -28,7 +28,7 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -222,6 +222,18 @@ class TestTrainEvalPipeline:
         assert "trained 0 epochs" in captured.out
         assert load_checkpoint(ckpt).metadata["epochs_trained"] == 0
 
+    def test_the_cnn_and_the_mlp_train_under_one_protocol(self, dataset_file, tmp_path):
+        profiles = cli.profiles
+        assert profiles.CASE1_CNN_TRAIN is profiles.CASE1_MLP_TRAIN is profiles.CASE1_TRAIN
+        blocks = []
+        for model in ("cnn", "mlp"):
+            out = tmp_path / f"{model}.ckpt"
+            assert run_cli("train", "--data", dataset_file, "--model", model, "--epochs", 0,
+                           "--out", out) == cli.EXIT_OK
+            manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+            blocks.append(manifest["config"]["train"])
+        assert blocks[0] == blocks[1]
+
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "-0.1", "1.5"])
     def test_bad_eval_threshold_is_config_error(self, dataset_file, tmp_path, capsys,
                                                 threshold):
@@ -829,6 +841,19 @@ class TestUsageErrors:
             assert [getattr(args, key) for key in training] == ["o"] + [None] * 5
         else:
             assert not any(hasattr(args, key) for key in ("curves", "epochs", "init_seed"))
+
+    def test_defaults_are_the_protocols_own(self):
+        from hifbench.evaluation import DEFAULT_THRESHOLD
+
+        parse, profiles = cli.build_parser().parse_args, cli.profiles
+        train = parse(["train", "--data", "d", "--out", "o"])
+        finetune = parse(["finetune", "--ckpt", "c", "--data", "d", "--out", "o"])
+        evaluation = parse(["eval", "--ckpt", "c", "--data", "d"])
+        assert [a.train_fraction for a in (train, finetune, evaluation)] == [
+            profiles.CASE1_TRAIN_FRACTION, profiles.CASE2_TRAIN_FRACTION,
+            profiles.CASE1_TRAIN_FRACTION]
+        assert {a.split_seed for a in (train, finetune, evaluation)} == {profiles.SPLIT_SEED}
+        assert evaluation.threshold == DEFAULT_THRESHOLD
 
     def test_help_exits_0(self, capsys):
         assert run_cli("train", "--help") == cli.EXIT_OK

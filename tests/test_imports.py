@@ -25,6 +25,23 @@ def test_runtime_imports_only_the_standard_library_and_numpy():
     assert not foreign
 
 
+def test_every_imported_name_is_read():
+    """Each name that an import binds in a package module is read in that
+    module as a plain name; __future__ imports bind none.  An import that
+    nothing reads still runs, and misstates what the module depends on."""
+    unread = []
+    for path in sorted(Path(hifbench.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unread += [f"{path.name}: {name}" for name in bound if name not in read]
+    assert unread == []
+
+
 def test_every_name_perfbench_traces_resolves():
     """perfbench/spans.py wraps hifbench functions by (module, attribute)
     name; a name that no longer resolves would make its metrics read 0

@@ -88,6 +88,17 @@ class TestSpecs:
         with pytest.raises(SpecError, match="must be integers of at least 1"):
             make()
 
+    @pytest.mark.parametrize("make", [
+        lambda: MlpSpec(hidden_dims=[8, 8, 4], input_length=20),
+        lambda: CnnSpec(blocks=[ConvBlockSpec(8, 7, 2, 2)] * 4),
+        lambda: CnnSpec(blocks=((8, 7, 2, 2),) * 4),
+    ], ids=["mlp_list_widths", "cnn_list_blocks", "cnn_bare_tuple_blocks"])
+    def test_a_container_the_spec_cannot_hash_or_read_is_refused(self, make):
+        """A list makes the frozen spec unhashable, so the stage table's cache
+        raised TypeError in build_model; a bare tuple is no ConvBlockSpec."""
+        with pytest.raises(SpecError, match="a tuple of"):
+            build_model(make(), 0)
+
     def test_spec_files_keep_their_int_conversion(self):
         assert spec_from_dict({"kind": "mlp", "hidden_dims": [8.0, True, "4"],
                                "input_length": 20.0}) == MlpSpec((8, 1, 4), 20)
@@ -162,7 +173,8 @@ class TestStageTable:
         if blocks:
             assert dense[0].shape == (spec.hidden_dim, in_channels * lengths[-1])
         else:
-            assert [s.shape[::-1] for s in dense] == spec.layer_dims
+            dims = [spec.input_length, *spec.hidden_dims, 1]
+            assert [s.shape[::-1] for s in dense] == list(zip(dims, dims[1:]))
         for i, stage in enumerate(dense, len(blocks)):
             assert stage.layer is L.DenseLayer and stage.pool is stage.geo is None
         assert dense[-1].shape[0] == 1  # the sigmoid unit
@@ -532,6 +544,17 @@ class TestCheckpoints:
         assert np.array_equal(ckpt.params, model.flat_parameters())
         assert ckpt.metadata["note"] == "hello"
         assert ckpt.spec == TINY_CNN
+
+    def test_the_spec_is_parsed_once_per_load(self, tmp_path, spy):
+        calls = spy(models, "spec_from_dict")
+        for spec in (TINY_MLP, TINY_CNN):
+            path = tmp_path / "m.ckpt"
+            assert save_checkpoint(build_model(spec, 9), {}, path).spec is spec
+            calls.clear()
+            ckpt = load_checkpoint(path)
+            assert ckpt.spec == spec and ckpt.spec is ckpt.spec
+            restore_for_transfer(ckpt, ckpt.spec)
+            assert len(calls) == 1
 
     def test_restore_for_transfer_is_exact(self, tmp_path):
         for spec in (TINY_MLP, TINY_CNN):
